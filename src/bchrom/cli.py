@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 I/O failure, 2 usage or malformed input,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import random
 import sys
@@ -33,14 +34,8 @@ class _UsageError(Exception):
     pass
 
 
-def _rat(x: Fraction) -> dict:
-    return {"num": x.numerator, "den": x.denominator}
-
-
-def _rat_str(x: Fraction | None) -> str:
-    if x is None:
-        return ""
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+def _rat(x: Fraction | None) -> dict | None:
+    return None if x is None else {"num": x.numerator, "den": x.denominator}
 
 
 def _dump_json(obj, out) -> None:
@@ -161,7 +156,7 @@ def cmd_stats(args) -> int:
     else:
         record = _report_record(g, descriptor, args)
     if args.format == "csv":
-        _records_to_csv([record], sys.stdout)
+        _write_csv([record], sys.stdout)
     else:
         _dump_json(record, sys.stdout)
     return EXIT_OK
@@ -190,8 +185,8 @@ def _sweep_rows(family: str, ns, max_n) -> list[dict]:
             "printed_variance": _rat(entry.printed_variance),
             "corrected_mean": _rat(entry.corrected_mean),
             "corrected_variance": _rat(entry.corrected_variance),
-            "search_mean": None if entry.search_mean is None else _rat(entry.search_mean),
-            "search_variance": None if entry.search_variance is None else _rat(entry.search_variance),
+            "search_mean": _rat(entry.search_mean),
+            "search_variance": _rat(entry.search_variance),
             "errata": entry.errata,
             "consistent": entry.consistent,
             "note": entry.note,
@@ -200,52 +195,32 @@ def _sweep_rows(family: str, ns, max_n) -> list[dict]:
     return rows
 
 
-def _rows_to_csv(rows: list[dict], out) -> None:
-    import csv as _csv
+def _write_csv(records: list[dict], out) -> None:
+    """A header row from the first record's keys, then one row per record.
 
-    writer = _csv.writer(out, lineterminator="\n")
-    header = ["family", "n", "phi", "printed_mean", "printed_variance",
-              "corrected_mean", "corrected_variance", "search_mean",
-              "search_variance", "errata", "consistent", "note", "error"]
-    writer.writerow(header)
-
+    Nested keys are joined with ".", rationals print as num/den, lists are
+    space-separated and None is an empty cell.
+    """
     def cell(value):
-        if isinstance(value, dict):
-            return _rat_str(Fraction(value["num"], value["den"]))
-        if value is None:
-            return ""
+        if isinstance(value, dict) and set(value) == {"num", "den"}:
+            return f"{value['num']}/{value['den']}" if value["den"] != 1 else str(value["num"])
         return value
 
-    for row in rows:
-        writer.writerow([cell(row[h]) for h in header])
-
-
-def _records_to_csv(records: list[dict], out) -> None:
-    import csv as _csv
-
     def flatten(prefix, value, into):
+        value = cell(value)
         if isinstance(value, dict):
-            if set(value) == {"num", "den"}:
-                into[prefix] = _rat_str(Fraction(value["num"], value["den"]))
-            else:
-                for key, sub in value.items():
-                    flatten(f"{prefix}.{key}" if prefix else key, sub, into)
+            for key, sub in value.items():
+                flatten(f"{prefix}.{key}" if prefix else key, sub, into)
         elif isinstance(value, list):
             into[prefix] = " ".join(str(cell(v)) for v in value)
         else:
             into[prefix] = value
+        return into
 
-    def cell(v):
-        if isinstance(v, dict) and set(v) == {"num", "den"}:
-            return _rat_str(Fraction(v["num"], v["den"]))
-        return v
-
-    writer = _csv.writer(out, lineterminator="\n")
-    flat: dict = {}
-    for record in records:
-        flatten("", record, flat)
-    writer.writerow(flat.keys())
-    writer.writerow(flat.values())
+    rows = [flatten("", record, {}) for record in records]
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(rows[0].keys())
+    writer.writerows(row.values() for row in rows)
 
 
 def cmd_verify(args) -> int:
@@ -264,7 +239,7 @@ def cmd_verify(args) -> int:
     record["status"] = ("regression" if record["regressions"]
                         else "cap-exceeded" if record["cap_errors"] else "ok")
     if args.format == "csv":
-        _rows_to_csv(rows, sys.stdout)
+        _write_csv(rows, sys.stdout)
     else:
         _dump_json(record, sys.stdout)
     if record["regressions"]:
@@ -282,7 +257,7 @@ def cmd_sweep(args) -> int:
                     "family": args.family, "range": [ns.start, ns.stop - 1],
                     "rows": rows}, sys.stdout)
     else:
-        _rows_to_csv(rows, sys.stdout)
+        _write_csv(rows, sys.stdout)
     return EXIT_OK
 
 

@@ -7,16 +7,19 @@ Two tables are kept side by side:
 * ``corrected_value`` evaluates the forms certified by exhaustive search
   (naive enumeration through 14 vertices, pruned exact search beyond).
 
-Wherever the two disagree the discrepancy is a registered erratum; sweep()
-cross-checks every row against a fresh exact search so a regression in
-either table is caught.
+Wherever the two disagree the discrepancy is a registered erratum.  One row
+of ``ERRATA_REGISTRY`` (n-condition, corrected formula, note) is the only
+place an erratum is defined: ``corrected_value``, ``is_registered_erratum``
+and ``errata_table_csv`` all read it.  sweep() cross-checks every row
+against a fresh exact search so a regression in either table is caught.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -119,120 +122,110 @@ def printed_value(family, n: int) -> tuple[Fraction, Fraction]:
     raise AssertionError(family)
 
 
-def corrected_value(family, n: int) -> tuple[Fraction, Fraction, str]:
-    """Search-certified mean and variance, with a note where they differ
-    from the printed forms (empty note means the row has no erratum)."""
-    family = Family(family)
-    _check_domain(family, n)
-    F = Fraction
-    if family is Family.PATH:
-        if n == 4:
-            return F(3, 2), F(1, 4), _NOTES["path4"]
-        return (*printed_value(family, n), "")
-    if family is Family.CYCLE:
-        if n % 2 == 0 and n != 4:
-            return F(3 * n + 6, 2 * n), F(n * n + 16 * n - 36, 4 * n * n), _NOTES["cycle_even"]
-        return (*printed_value(family, n), "")
-    if family is Family.COMPLETE or family is Family.WHEEL:
-        return (*printed_value(family, n), "")
-    if family is Family.SUNLET:
-        if n == 5:
-            return F(8, 5), F(11, 25), _NOTES["sunlet5"]
-        if n >= 6:
-            return F(3 * n + 6, 2 * n), F(n * n + 32 * n - 36, 4 * n * n), _NOTES["sunlet_big"]
-        return (*printed_value(family, n), "")
-    if family is Family.CLOSED_LADDER:
-        if n == 3:
-            return F(2), F(2, 3), _NOTES["cl3"]
-        if n == 5:
-            return F(23, 10), F(121, 100), _NOTES["cl5"]
-        if n == 6:
-            return F(25, 12), F(131, 144), _NOTES["cl6"]
-        if n >= 7 and n % 2 == 1:
-            return F(3 * n + 7, 2 * n), F(n * n + 24 * n - 49, 4 * n * n), _NOTES["cl_odd"]
-        return (*printed_value(family, n), "")
-    raise AssertionError(family)
-
-
-_NOTES = {
-    "path4": ("the 4-path admits no b-colouring with 3 colours (both size-1 "
-              "classes would need interior b-vertices, leaving the endpoint "
-              "pair without one), so the 2-colour statistics apply"),
-    "cycle_even": ("constant term of the printed variance has the wrong sign; "
-                   "the printed class sizes ((n-2)/2, (n-2)/2, 2) themselves "
-                   "yield (n^2+16n-36)/(4n^2)"),
-    "sunlet5": ("printed class sizes (5,3,2) are not mean-minimal: sizes "
-                "(5,4,1) admit a b-colouring with mean 8/5"),
-    "sunlet_big": ("printed class sizes (n-1, n-3, 2, 2) are not mean-minimal: "
-                   "sizes (n, n-4, 2, 2) admit a b-colouring, giving mean "
-                   "(3n+6)/(2n) and variance (n^2+32n-36)/(4n^2)"),
-    "cl3": ("printed mean 5 exceeds the largest colour index; the uniform "
-            "three-class colouring gives mean 2 and variance 2/3 (the printed "
-            "variance 2 is also inconsistent with that same colouring)"),
-    "cl5": ("printed variance list is misaligned: class sizes (3,3,2,2) give "
-            "121/100 at n = 5"),
-    "cl6": ("printed mean 23/12 corresponds to class sizes (5,4,2,1), which "
-            "admit no b-colouring; the minimum uses (4,4,3,1) with mean 25/12. "
-            "The printed variance list has no n = 6 branch; the misaligned "
-            "value 131/144 happens to equal the corrected variance"),
-    "cl_odd": ("printed class sizes (n-2, n-3, 4, 1) are not mean-minimal for "
-               "odd n >= 7: sizes (n-2, n-2, 3, 1) admit a b-colouring, so the "
-               "even-case formulas hold for odd n as well"),
-}
-
-
 @dataclass(frozen=True)
 class ErratumRule:
-    """One registered printed-vs-corrected discrepancy."""
+    """One registered printed-vs-corrected discrepancy: the n-condition it
+    covers, the corrected (mean, variance) there, and why."""
 
     family: Family
     applies_to: str         # human-readable n-condition
     printed: str
     corrected: str
     note: str
+    condition: Callable[[int], bool] = field(repr=False, compare=False)
+    value: Callable[[int], tuple[Fraction, Fraction]] = field(repr=False, compare=False)
 
     def matches(self, n: int) -> bool:
-        return _RULE_PREDICATES[(self.family, self.applies_to)](n)
+        return self.condition(n)
 
-
-_RULE_PREDICATES = {
-    (Family.PATH, "n = 4"): lambda n: n == 4,
-    (Family.CYCLE, "even n >= 6"): lambda n: n >= 6 and n % 2 == 0,
-    (Family.SUNLET, "n = 5"): lambda n: n == 5,
-    (Family.SUNLET, "n >= 6"): lambda n: n >= 6,
-    (Family.CLOSED_LADDER, "n = 3"): lambda n: n == 3,
-    (Family.CLOSED_LADDER, "n = 5"): lambda n: n == 5,
-    (Family.CLOSED_LADDER, "n = 6"): lambda n: n == 6,
-    (Family.CLOSED_LADDER, "odd n >= 7"): lambda n: n >= 7 and n % 2 == 1,
-}
 
 ERRATA_REGISTRY: tuple[ErratumRule, ...] = (
-    ErratumRule(Family.PATH, "n = 4", "mean 7/4, variance 11/16",
-                "mean 3/2, variance 1/4", _NOTES["path4"]),
-    ErratumRule(Family.CYCLE, "even n >= 6", "variance (n^2+16n+36)/(4n^2)",
-                "variance (n^2+16n-36)/(4n^2)", _NOTES["cycle_even"]),
-    ErratumRule(Family.SUNLET, "n = 5", "mean 17/10, variance 61/100",
-                "mean 8/5, variance 11/25", _NOTES["sunlet5"]),
-    ErratumRule(Family.SUNLET, "n >= 6",
-                "mean (3n+7)/(2n), variance (n^2+35n-49)/(4n^2)",
-                "mean (3n+6)/(2n), variance (n^2+32n-36)/(4n^2)",
-                _NOTES["sunlet_big"]),
-    ErratumRule(Family.CLOSED_LADDER, "n = 3", "mean 5, variance 2",
-                "mean 2, variance 2/3", _NOTES["cl3"]),
-    ErratumRule(Family.CLOSED_LADDER, "n = 5", "variance 131/144",
-                "variance 121/100", _NOTES["cl5"]),
-    ErratumRule(Family.CLOSED_LADDER, "n = 6", "mean 23/12 (variance branch missing)",
-                "mean 25/12, variance 131/144", _NOTES["cl6"]),
-    ErratumRule(Family.CLOSED_LADDER, "odd n >= 7",
-                "mean (3n+8)/(2n), variance (n^2+28n-64)/(4n^2)",
-                "mean (3n+7)/(2n), variance (n^2+24n-49)/(4n^2)",
-                _NOTES["cl_odd"]),
+    ErratumRule(
+        Family.PATH, "n = 4", "mean 7/4, variance 11/16", "mean 3/2, variance 1/4",
+        "the 4-path admits no b-colouring with 3 colours (both size-1 "
+        "classes would need interior b-vertices, leaving the endpoint "
+        "pair without one), so the 2-colour statistics apply",
+        condition=lambda n: n == 4,
+        value=lambda n: (Fraction(3, 2), Fraction(1, 4))),
+    ErratumRule(
+        Family.CYCLE, "even n >= 6", "variance (n^2+16n+36)/(4n^2)",
+        "variance (n^2+16n-36)/(4n^2)",
+        "constant term of the printed variance has the wrong sign; "
+        "the printed class sizes ((n-2)/2, (n-2)/2, 2) themselves "
+        "yield (n^2+16n-36)/(4n^2)",
+        condition=lambda n: n >= 6 and n % 2 == 0,
+        value=lambda n: (Fraction(3 * n + 6, 2 * n),
+                         Fraction(n * n + 16 * n - 36, 4 * n * n))),
+    ErratumRule(
+        Family.SUNLET, "n = 5", "mean 17/10, variance 61/100", "mean 8/5, variance 11/25",
+        "printed class sizes (5,3,2) are not mean-minimal: sizes "
+        "(5,4,1) admit a b-colouring with mean 8/5",
+        condition=lambda n: n == 5,
+        value=lambda n: (Fraction(8, 5), Fraction(11, 25))),
+    ErratumRule(
+        Family.SUNLET, "n >= 6",
+        "mean (3n+7)/(2n), variance (n^2+35n-49)/(4n^2)",
+        "mean (3n+6)/(2n), variance (n^2+32n-36)/(4n^2)",
+        "printed class sizes (n-1, n-3, 2, 2) are not mean-minimal: "
+        "sizes (n, n-4, 2, 2) admit a b-colouring, giving mean "
+        "(3n+6)/(2n) and variance (n^2+32n-36)/(4n^2)",
+        condition=lambda n: n >= 6,
+        value=lambda n: (Fraction(3 * n + 6, 2 * n),
+                         Fraction(n * n + 32 * n - 36, 4 * n * n))),
+    ErratumRule(
+        Family.CLOSED_LADDER, "n = 3", "mean 5, variance 2", "mean 2, variance 2/3",
+        "printed mean 5 exceeds the largest colour index; the uniform "
+        "three-class colouring gives mean 2 and variance 2/3 (the printed "
+        "variance 2 is also inconsistent with that same colouring)",
+        condition=lambda n: n == 3,
+        value=lambda n: (Fraction(2), Fraction(2, 3))),
+    ErratumRule(
+        Family.CLOSED_LADDER, "n = 5", "variance 131/144", "variance 121/100",
+        "printed variance list is misaligned: class sizes (3,3,2,2) give "
+        "121/100 at n = 5",
+        condition=lambda n: n == 5,
+        value=lambda n: (Fraction(23, 10), Fraction(121, 100))),
+    ErratumRule(
+        Family.CLOSED_LADDER, "n = 6", "mean 23/12 (variance branch missing)",
+        "mean 25/12, variance 131/144",
+        "printed mean 23/12 corresponds to class sizes (5,4,2,1), which "
+        "admit no b-colouring; the minimum uses (4,4,3,1) with mean 25/12. "
+        "The printed variance list has no n = 6 branch; the misaligned "
+        "value 131/144 happens to equal the corrected variance",
+        condition=lambda n: n == 6,
+        value=lambda n: (Fraction(25, 12), Fraction(131, 144))),
+    ErratumRule(
+        Family.CLOSED_LADDER, "odd n >= 7",
+        "mean (3n+8)/(2n), variance (n^2+28n-64)/(4n^2)",
+        "mean (3n+7)/(2n), variance (n^2+24n-49)/(4n^2)",
+        "printed class sizes (n-2, n-3, 4, 1) are not mean-minimal for "
+        "odd n >= 7: sizes (n-2, n-2, 3, 1) admit a b-colouring, so the "
+        "even-case formulas hold for odd n as well",
+        condition=lambda n: n >= 7 and n % 2 == 1,
+        value=lambda n: (Fraction(3 * n + 7, 2 * n),
+                         Fraction(n * n + 24 * n - 49, 4 * n * n))),
 )
 
 
-def is_registered_erratum(family, n: int) -> bool:
+def _erratum(family: Family, n: int) -> ErratumRule | None:
+    """The first registered rule of this family that covers n, if any."""
+    return next((rule for rule in ERRATA_REGISTRY
+                 if rule.family is family and rule.matches(n)), None)
+
+
+def corrected_value(family, n: int) -> tuple[Fraction, Fraction, str]:
+    """Search-certified mean and variance, with a note where they differ
+    from the printed forms (empty note means the row has no erratum)."""
     family = Family(family)
-    return any(rule.family is family and rule.matches(n) for rule in ERRATA_REGISTRY)
+    _check_domain(family, n)
+    rule = _erratum(family, n)
+    if rule is None:
+        return (*printed_value(family, n), "")
+    return (*rule.value(n), rule.note)
+
+
+def is_registered_erratum(family, n: int) -> bool:
+    return _erratum(Family(family), n) is not None
 
 
 def errata_table_csv() -> str:

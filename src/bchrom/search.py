@@ -66,10 +66,16 @@ def _check_caps(g: Graph, max_n: int | None, default: int) -> None:
         raise SearchCapError(f"graph has {g.n} vertices, cap is {cap}")
 
 
-def _check_connected(g: Graph, allow_disconnected: bool) -> None:
+def _prepare(g: Graph, max_n: int | None,
+             allow_disconnected: bool) -> tuple[list[list[int]], list[int]]:
+    """Gate on the search cap and connectivity, then give the 0-based
+    adjacency and the degree-descending vertex order the search runs on."""
+    _check_caps(g, max_n, DEFAULT_SEARCH_CAP)
     if not allow_disconnected and not g.connected:
         raise DisconnectedGraphError(
             "graph is disconnected; pass allow_disconnected=True to override")
+    adj = _adj0(g)
+    return adj, _degree_desc_order(adj)
 
 
 def m_degree(g: Graph) -> int:
@@ -118,6 +124,29 @@ def _colourable(adj: list[list[int]], k: int, order: list[int]) -> tuple[bool, i
         return False
 
     return rec(0, 0), nodes
+
+
+def _chi(adj: list[list[int]], order: list[int]) -> tuple[int, int]:
+    """(chromatic number, nodes): feasibility on increasing k."""
+    nodes = 0
+    for k in range(1, len(adj) + 1):
+        ok, explored = _colourable(adj, k, order)
+        nodes += explored
+        if ok:
+            return k, nodes
+    raise AssertionError("unreachable: n colours always suffice")
+
+
+def _phi(adj: list[list[int]], order: list[int]) -> tuple[int, int]:
+    """(b-chromatic number, nodes): k from max_degree + 1 downward."""
+    nodes = 0
+    top = max((len(a) for a in adj), default=0) + 1
+    for k in range(min(top, len(adj)), 0, -1):
+        assignment, explored = _b_search(adj, k, None, order)
+        nodes += explored
+        if assignment is not None:
+            return k, nodes
+    raise AssertionError("unreachable: every graph has a b-colouring with chi colours")
 
 
 def _b_search(adj: list[list[int]], k: int, caps: tuple[int, ...] | None,
@@ -320,17 +349,16 @@ def _moment_keys(theta: tuple[int, ...]) -> tuple[int, int]:
 class _Extremal:
     """Shared scan for the minimum- and maximum-mean b-colourings at fixed k."""
 
-    def __init__(self, g: Graph, k: int):
+    def __init__(self, k: int, adj: list[list[int]], order: list[int]):
         if k < 1:
             raise ValueError("colour count must be >= 1")
-        self.g = g
         self.k = k
-        self.adj = _adj0(g)
-        self.order = _degree_desc_order(self.adj)
+        self.adj = adj
+        self.order = order
         self.nodes = 0
         self._achievable: dict[tuple[int, ...], bool] = {}
-        alpha = _independence_number(self.adj) if g.n else 0
-        self.candidates = [t for t in _partitions_desc(g.n, k) if t[0] <= alpha]
+        alpha = _independence_number(adj) if adj else 0
+        self.candidates = [t for t in _partitions_desc(len(adj), k) if t[0] <= alpha]
 
     def achievable(self, theta: tuple[int, ...]) -> bool:
         hit = self._achievable.get(theta)
@@ -341,62 +369,44 @@ class _Extremal:
             self._achievable[theta] = hit
         return hit
 
-    def _realize(self, caps: tuple[int, ...]) -> Colouring:
-        assignment, nodes = _b_search(self.adj, self.k, caps, list(range(self.g.n)))
-        self.nodes += nodes
-        assert assignment is not None, "achievable size vector must realize"
-        return Colouring(self.k, tuple(assignment))
+    def _scan(self, orient) -> tuple[Colouring, ChromaStats]:
+        """Realize the first achievable candidate theta in (mean, variance,
+        orient(theta)) order, with class sizes orient(theta) by label.
+
+        A size multiset maximises the mean (ascending labels) exactly when
+        it minimises it (descending labels): reversing labels maps one
+        optimum onto the other.  So the two scans differ only in orient,
+        which sets the strength-vector tie-break and the realized sizes.
+        """
+        ranked = sorted(self.candidates, key=lambda t: (*_moment_keys(t), orient(t)))
+        for theta in ranked:
+            if self.achievable(theta):
+                caps = orient(theta)
+                assignment, nodes = _b_search(self.adj, self.k, caps,
+                                              list(range(len(self.adj))))
+                self.nodes += nodes
+                assert assignment is not None, "achievable size vector must realize"
+                return Colouring(self.k, tuple(assignment)), stats_from_strengths(caps)
+        raise NoBColouringError(
+            f"no b-colouring of this graph uses exactly {self.k} colours")
 
     def minimum(self) -> tuple[Colouring, ChromaStats]:
-        ranked = sorted(self.candidates, key=lambda t: (*_moment_keys(t), t))
-        for theta in ranked:
-            if self.achievable(theta):
-                return self._realize(theta), stats_from_strengths(theta)
-        raise NoBColouringError(
-            f"no b-colouring of this graph uses exactly {self.k} colours")
+        return self._scan(lambda t: t)
 
     def maximum(self) -> tuple[Colouring, ChromaStats]:
-        # A size multiset maximises the mean (ascending labels) exactly when
-        # it minimises it (descending labels): reversing labels maps one
-        # optimum onto the other.  Only the strength-vector tie-break and
-        # the realizing assignment differ between the two scans.
-        ranked = sorted(self.candidates,
-                        key=lambda t: (*_moment_keys(t), tuple(reversed(t))))
-        for theta in ranked:
-            if self.achievable(theta):
-                caps = tuple(reversed(theta))
-                return self._realize(caps), stats_from_strengths(caps)
-        raise NoBColouringError(
-            f"no b-colouring of this graph uses exactly {self.k} colours")
+        return self._scan(lambda t: t[::-1])
 
 
 def chromatic_number(g: Graph, max_n: int | None = None,
                      allow_disconnected: bool = False) -> int:
     """Exact chromatic number by feasibility backtracking on increasing k."""
-    _check_caps(g, max_n, DEFAULT_SEARCH_CAP)
-    _check_connected(g, allow_disconnected)
-    adj = _adj0(g)
-    order = _degree_desc_order(adj)
-    for k in range(1, g.n + 1):
-        ok, _ = _colourable(adj, k, order)
-        if ok:
-            return k
-    raise AssertionError("unreachable: n colours always suffice")
+    return _chi(*_prepare(g, max_n, allow_disconnected))[0]
 
 
 def b_chromatic_number(g: Graph, max_n: int | None = None,
                        allow_disconnected: bool = False) -> int:
     """Exact b-chromatic number, testing k from max_degree + 1 downward."""
-    _check_caps(g, max_n, DEFAULT_SEARCH_CAP)
-    _check_connected(g, allow_disconnected)
-    adj = _adj0(g)
-    order = _degree_desc_order(adj)
-    top = max((len(a) for a in adj), default=0) + 1
-    for k in range(min(top, g.n), 0, -1):
-        assignment, _ = _b_search(adj, k, None, order)
-        if assignment is not None:
-            return k
-    raise AssertionError("unreachable: every graph has a b-colouring with chi colours")
+    return _phi(*_prepare(g, max_n, allow_disconnected))[0]
 
 
 def min_mean_b_colouring(g: Graph, k: int, max_n: int | None = None,
@@ -406,58 +416,32 @@ def min_mean_b_colouring(g: Graph, k: int, max_n: int | None = None,
     Ties are broken by minimum variance, then lexicographically smallest
     strength vector, then lexicographically smallest assignment.
     """
-    _check_caps(g, max_n, DEFAULT_SEARCH_CAP)
-    _check_connected(g, allow_disconnected)
-    return _Extremal(g, k).minimum()
+    return _Extremal(k, *_prepare(g, max_n, allow_disconnected)).minimum()
 
 
 def max_mean_b_colouring(g: Graph, k: int, max_n: int | None = None,
                          allow_disconnected: bool = False) -> tuple[Colouring, ChromaStats]:
     """Mean-maximising mirror of min_mean_b_colouring (same tie-break order)."""
-    _check_caps(g, max_n, DEFAULT_SEARCH_CAP)
-    _check_connected(g, allow_disconnected)
-    return _Extremal(g, k).maximum()
+    return _Extremal(k, *_prepare(g, max_n, allow_disconnected)).maximum()
 
 
 def full_report(g: Graph, max_n: int | None = None,
                 allow_disconnected: bool = False) -> SearchReport:
     """chi, phi and the extremal b-colouring statistics at k = phi."""
-    _check_caps(g, max_n, DEFAULT_SEARCH_CAP)
-    _check_connected(g, allow_disconnected)
+    adj, order = _prepare(g, max_n, allow_disconnected)
     if g.n == 1:
         warnings.warn("trivial graph: statistics are degenerate", stacklevel=2)
     t0 = time.perf_counter()
-    nodes = 0
-    adj = _adj0(g)
-    order = _degree_desc_order(adj)
-
-    chi = None
-    for k in range(1, g.n + 1):
-        ok, explored = _colourable(adj, k, order)
-        nodes += explored
-        if ok:
-            chi = k
-            break
-    assert chi is not None
-
-    phi = None
-    top = max((len(a) for a in adj), default=0) + 1
-    for k in range(min(top, g.n), chi - 1, -1):
-        assignment, explored = _b_search(adj, k, None, order)
-        nodes += explored
-        if assignment is not None:
-            phi = k
-            break
-    assert phi is not None, "a b-colouring with chi colours always exists"
-
-    ext = _Extremal(g, phi)
+    chi, chi_nodes = _chi(adj, order)
+    phi, phi_nodes = _phi(adj, order)
+    ext = _Extremal(phi, adj, order)
     min_col, min_stats = ext.minimum()
     max_col, max_stats = ext.maximum()
-    nodes += ext.nodes
     return SearchReport(chi=chi, phi=phi,
                         min_colouring=min_col, min_stats=min_stats,
                         max_colouring=max_col, max_stats=max_stats,
-                        nodes_explored=nodes, seconds=time.perf_counter() - t0)
+                        nodes_explored=chi_nodes + phi_nodes + ext.nodes,
+                        seconds=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------

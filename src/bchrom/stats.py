@@ -73,6 +73,9 @@ class ColourDistribution:
     pmf: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if not len(self.strengths) == len(self.pmf) == self.k:
+            raise ValueError(f"need k = {self.k} strengths and pmf entries, got "
+                             f"{len(self.strengths)} and {len(self.pmf)}")
         if sum(self.strengths) != self.n:
             raise ValueError("strengths must sum to the vertex count")
         if any(f != Fraction(t, self.n) for t, f in zip(self.strengths, self.pmf)):
@@ -85,9 +88,6 @@ class ChromaStats:
 
     mean: Fraction
     variance: Fraction
-
-    def as_pair(self) -> tuple[Fraction, Fraction]:
-        return (self.mean, self.variance)
 
 
 def _check_cover(g: Graph, c: Colouring) -> None:
@@ -141,18 +141,6 @@ def distribution(g: Graph, c: Colouring) -> ColourDistribution:
     return ColourDistribution(c.k, g.n, strengths, pmf)
 
 
-def mean(d: ColourDistribution) -> Fraction:
-    """Sum of i * f(i) over colours, exact."""
-    return sum((i * f for i, f in enumerate(d.pmf, start=1)), Fraction(0))
-
-
-def variance(d: ColourDistribution) -> Fraction:
-    """Sum of i^2 * f(i) minus the squared mean, exact."""
-    m1 = mean(d)
-    m2 = sum((i * i * f for i, f in enumerate(d.pmf, start=1)), Fraction(0))
-    return m2 - m1 * m1
-
-
 def stats_from_strengths(strengths) -> ChromaStats:
     """Mean/variance of the colour index when class i has the given size."""
     n = sum(strengths)
@@ -164,7 +152,17 @@ def stats_from_strengths(strengths) -> ChromaStats:
     return ChromaStats(mean_, Fraction(m2, n) - mean_ * mean_)
 
 
+def mean(d: ColourDistribution) -> Fraction:
+    """Sum of i * f(i) over colours, exact."""
+    return stats_from_strengths(d.strengths).mean
+
+
+def variance(d: ColourDistribution) -> Fraction:
+    """Sum of i^2 * f(i) minus the squared mean, exact."""
+    return stats_from_strengths(d.strengths).variance
+
+
 def colouring_stats(g: Graph, c: Colouring) -> ChromaStats:
     """Mean/variance of a colouring of g (any assignment)."""
-    d = distribution(g, c)
-    return ChromaStats(mean(d), variance(d))
+    _check_cover(g, c)
+    return stats_from_strengths(c.strengths())

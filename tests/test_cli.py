@@ -217,3 +217,114 @@ def test_console_entry_point_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2"
+
+
+# Exact stdout, recorded from an earlier release: running a command twice
+# cannot catch a change in its bytes between versions, these can.
+PINNED_SUNLET5_JSON = """\
+{
+  "tool": "bchrom",
+  "version": "0.1.0",
+  "command": "stats",
+  "graph": "sunlet(5)",
+  "parameters": {
+    "max_n": null,
+    "allow_disconnected": false
+  },
+  "vertices": 10,
+  "edges": 10,
+  "chi": 3,
+  "phi": 3,
+  "min": {
+    "mean": {
+      "num": 8,
+      "den": 5
+    },
+    "variance": {
+      "num": 11,
+      "den": 25
+    },
+    "strengths": [
+      5,
+      4,
+      1
+    ],
+    "colouring": [
+      1,
+      2,
+      1,
+      2,
+      3,
+      2,
+      1,
+      2,
+      1,
+      1
+    ]
+  },
+  "max": {
+    "mean": {
+      "num": 12,
+      "den": 5
+    },
+    "variance": {
+      "num": 11,
+      "den": 25
+    },
+    "strengths": [
+      1,
+      4,
+      5
+    ],
+    "colouring": [
+      1,
+      2,
+      3,
+      2,
+      3,
+      3,
+      3,
+      2,
+      3,
+      2
+    ]
+  }
+}
+"""
+
+PINNED_SUNLET5_CSV = """\
+tool,version,command,graph,parameters.max_n,parameters.allow_disconnected,vertices,edges,chi,phi,min.mean,min.variance,min.strengths,min.colouring,max.mean,max.variance,max.strengths,max.colouring
+bchrom,0.1.0,stats,sunlet(5),,False,10,10,3,3,8/5,11/25,5 4 1,1 2 1 2 3 2 1 2 1 1,12/5,11/25,1 4 5,1 2 3 2 3 3 3 2 3 2
+"""
+
+PINNED_CLOSED_LADDER_SWEEP = """\
+family,n,phi,printed_mean,printed_variance,corrected_mean,corrected_variance,search_mean,search_variance,errata,consistent,note,error
+closed-ladder,3,3,5,2,2,2/3,2,2/3,True,True,printed mean 5 exceeds the largest colour index; the uniform three-class colouring gives mean 2 and variance 2/3 (the printed variance 2 is also inconsistent with that same colouring),
+closed-ladder,4,4,5/2,5/4,5/2,5/4,5/2,5/4,False,True,,
+closed-ladder,5,4,23/10,131/144,23/10,121/100,23/10,121/100,True,True,"printed variance list is misaligned: class sizes (3,3,2,2) give 121/100 at n = 5",
+closed-ladder,6,4,23/12,131/144,25/12,131/144,25/12,131/144,True,True,"printed mean 23/12 corresponds to class sizes (5,4,2,1), which admit no b-colouring; the minimum uses (4,4,3,1) with mean 25/12. The printed variance list has no n = 6 branch; the misaligned value 131/144 happens to equal the corrected variance",
+closed-ladder,7,4,29/14,181/196,2,6/7,2,6/7,True,True,"printed class sizes (n-2, n-3, 4, 1) are not mean-minimal for odd n >= 7: sizes (n-2, n-2, 3, 1) admit a b-colouring, so the even-case formulas hold for odd n as well",
+closed-ladder,8,4,31/16,207/256,31/16,207/256,31/16,207/256,False,True,,
+"""
+
+PINNED_PATH_VERIFY_CAPPED_CSV = """\
+family,n,phi,printed_mean,printed_variance,corrected_mean,corrected_variance,search_mean,search_variance,errata,consistent,note,error
+path,5,3,9/5,14/25,9/5,14/25,9/5,14/25,False,True,,
+path,6,,5/3,5/9,5/3,5/9,,,False,False,,"graph has 6 vertices, cap is 5"
+"""
+
+
+def test_cli_bytes_are_pinned():
+    cases = [
+        (("stats", "--family", "sunlet", "--n", "5"), 0, PINNED_SUNLET5_JSON),
+        (("stats", "--family", "sunlet", "--n", "5", "--format", "csv"), 0,
+         PINNED_SUNLET5_CSV),
+        (("sweep", "--family", "closed-ladder", "--range", "3..8"), 0,
+         PINNED_CLOSED_LADDER_SWEEP),
+        # cap overrun: the second row has empty (None) search cells
+        (("verify", "--family", "path", "--range", "5..6", "--max-n", "5",
+          "--format", "csv"), 3, PINNED_PATH_VERIFY_CAPPED_CSV),
+    ]
+    for argv, want_code, want_out in cases:
+        code, out, _ = run_cli(*argv)
+        assert (code, out) == (want_code, want_out), argv

@@ -5,6 +5,7 @@ import pytest
 import bchrom as b
 from bchrom.closed_forms import (
     ERRATA_REGISTRY,
+    FAMILY_MIN_N,
     ClosedFormEntry,
     Family,
     corrected_value,
@@ -109,6 +110,16 @@ def test_registry_and_csv():
     assert not is_registered_erratum(Family.WHEEL, 6)
     assert is_registered_erratum(Family.CLOSED_LADDER, 9)
     assert not is_registered_erratum(Family.CLOSED_LADDER, 8)
+    # lookup takes the first matching rule, so an overlap would shadow a rule
+    # silently: at most one rule may cover any n, and every rule covers some n
+    used = set()
+    for family in Family:
+        rules = [r for r in ERRATA_REGISTRY if r.family is family]
+        for n in range(FAMILY_MIN_N[family], 65):
+            hits = [r for r in rules if r.matches(n)]
+            assert len(hits) <= 1, (family, n, [r.applies_to for r in hits])
+            used.update(hits)
+    assert used == set(ERRATA_REGISTRY)
 
 
 def test_entry_consistency_flags_search_disagreement():

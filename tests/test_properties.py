@@ -124,3 +124,14 @@ def test_sorted_labelling_minimises_over_permutations(g):
     means = [sum(i * base[p - 1] for i, p in enumerate(perm, start=1))
              for perm in permutations(range(1, phi + 1))]
     assert min(means) == st_min.mean * g.n
+
+
+@given(connected_graphs(max_n=8), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_full_report_invariant_under_vertex_relabelling(g, rnd):
+    perm = list(range(1, g.n + 1))
+    rnd.shuffle(perm)
+    h = b.build_graph(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
+    r, s = b.full_report(g), b.full_report(h)
+    # the realizing colourings may differ; the statistics may not
+    assert (r.chi, r.phi, r.min_stats, r.max_stats) == (s.chi, s.phi, s.min_stats, s.max_stats)

@@ -70,6 +70,17 @@ def test_distribution_examples():
     assert mono.pmf == (F(1),)
 
 
+def test_distribution_lengths_must_match_k():
+    half = (F(1, 2), F(1, 2))
+    # k = 3 with two strengths: the third colour would be silently dropped
+    with pytest.raises(ValueError):
+        b.ColourDistribution(3, 2, (1, 1), half)
+    # pmf shorter than strengths
+    with pytest.raises(ValueError):
+        b.ColourDistribution(3, 3, (1, 1, 1), (F(1, 3), F(1, 3)))
+    assert b.ColourDistribution(2, 2, (1, 1), half).k == 2
+
+
 def test_mean_examples():
     d = b.distribution(b.path(3), b.Colouring(2, (1, 2, 1)))
     assert b.mean(d) == F(4, 3)
