@@ -16,6 +16,7 @@ import csv
 import json
 import random
 import sys
+import warnings
 from fractions import Fraction
 
 from . import __version__, closed_forms, graphs, io as gio, search, stats
@@ -93,6 +94,11 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _record(command: str, **fields) -> dict:
+    """The JSON envelope every command writes: tool, version, command, then fields."""
+    return {"tool": "bchrom", "version": __version__, "command": command, **fields}
+
+
 def _colouring_record(g, c, descriptor: str) -> dict:
     d = stats.distribution(g, c)
     proper = stats.is_proper(g, c)
@@ -100,51 +106,47 @@ def _colouring_record(g, c, descriptor: str) -> dict:
                if not stats.b_vertices(g, c, colour)]
     surjective = all(t > 0 for t in d.strengths)
     is_b = proper and surjective and not failing
-    return {
-        "tool": "bchrom",
-        "version": __version__,
-        "command": "stats",
-        "graph": descriptor,
-        "vertices": g.n,
-        "edges": g.m,
-        "k": c.k,
-        "strengths": list(d.strengths),
-        "pmf": [_rat(f) for f in d.pmf],
-        "mean": _rat(stats.mean(d)),
-        "variance": _rat(stats.variance(d)),
-        "proper": proper,
-        "uses_all_colours": surjective,
-        "b_colouring": is_b,
-        "classes_without_b_vertex": failing,
-    }
+    return _record(
+        "stats",
+        graph=descriptor,
+        vertices=g.n,
+        edges=g.m,
+        k=c.k,
+        strengths=list(d.strengths),
+        pmf=[_rat(f) for f in d.pmf],
+        mean=_rat(stats.mean(d)),
+        variance=_rat(stats.variance(d)),
+        proper=proper,
+        uses_all_colours=surjective,
+        b_colouring=is_b,
+        classes_without_b_vertex=failing,
+    )
 
 
 def _report_record(g, descriptor: str, args) -> dict:
     report = search.full_report(g, max_n=args.max_n,
                                 allow_disconnected=args.allow_disconnected)
-    return {
-        "tool": "bchrom",
-        "version": __version__,
-        "command": "stats",
-        "graph": descriptor,
-        "parameters": {"max_n": args.max_n, "allow_disconnected": args.allow_disconnected},
-        "vertices": g.n,
-        "edges": g.m,
-        "chi": report.chi,
-        "phi": report.phi,
-        "min": {
+    return _record(
+        "stats",
+        graph=descriptor,
+        parameters={"max_n": args.max_n, "allow_disconnected": args.allow_disconnected},
+        vertices=g.n,
+        edges=g.m,
+        chi=report.chi,
+        phi=report.phi,
+        min={
             "mean": _rat(report.min_stats.mean),
             "variance": _rat(report.min_stats.variance),
             "strengths": list(report.min_colouring.strengths()),
             "colouring": list(report.min_colouring.colours),
         },
-        "max": {
+        max={
             "mean": _rat(report.max_stats.mean),
             "variance": _rat(report.max_stats.variance),
             "strengths": list(report.max_colouring.strengths()),
             "colouring": list(report.max_colouring.colours),
         },
-    }
+    )
 
 
 def cmd_stats(args) -> int:
@@ -167,8 +169,7 @@ def cmd_phi(args) -> int:
     phi = search.b_chromatic_number(g, max_n=args.max_n,
                                     allow_disconnected=args.allow_disconnected)
     if args.format == "json":
-        _dump_json({"tool": "bchrom", "version": __version__, "command": "phi",
-                    "graph": descriptor, "phi": phi}, sys.stdout)
+        _dump_json(_record("phi", graph=descriptor, phi=phi), sys.stdout)
     else:
         print(phi)
     return EXIT_OK
@@ -226,16 +227,14 @@ def _write_csv(records: list[dict], out) -> None:
 def cmd_verify(args) -> int:
     ns = _parse_range(args.range)
     rows = _sweep_rows(args.family, ns, args.max_n)
-    record = {
-        "tool": "bchrom",
-        "version": __version__,
-        "command": "verify",
-        "family": args.family,
-        "range": [ns.start, ns.stop - 1],
-        "rows": rows,
-        "regressions": sum(1 for r in rows if not r["consistent"] and not r["error"]),
-        "cap_errors": sum(1 for r in rows if r["error"]),
-    }
+    record = _record(
+        "verify",
+        family=args.family,
+        range=[ns.start, ns.stop - 1],
+        rows=rows,
+        regressions=sum(1 for r in rows if not r["consistent"] and not r["error"]),
+        cap_errors=sum(1 for r in rows if r["error"]),
+    )
     record["status"] = ("regression" if record["regressions"]
                         else "cap-exceeded" if record["cap_errors"] else "ok")
     if args.format == "csv":
@@ -253,9 +252,8 @@ def cmd_sweep(args) -> int:
     ns = _parse_range(args.range)
     rows = _sweep_rows(args.family, ns, args.max_n)
     if args.format == "json":
-        _dump_json({"tool": "bchrom", "version": __version__, "command": "sweep",
-                    "family": args.family, "range": [ns.start, ns.stop - 1],
-                    "rows": rows}, sys.stdout)
+        _dump_json(_record("sweep", family=args.family, range=[ns.start, ns.stop - 1],
+                           rows=rows), sys.stdout)
     else:
         _write_csv(rows, sys.stdout)
     return EXIT_OK
@@ -333,7 +331,10 @@ def main(argv=None) -> int:
         # argparse exits with 2 on bad usage and 0 on --help/--version
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # record warnings under the active filters, so -W ignore still
+        # silences them; each is printed below as one plain line
+        with warnings.catch_warnings(record=True) as caught:
+            return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -347,6 +348,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
 
 
 def console_main() -> None:

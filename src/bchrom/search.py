@@ -5,7 +5,10 @@ Two independent routes are provided:
 * the pruned search (`chromatic_number`, `b_chromatic_number`,
   `min_mean_b_colouring`, `max_mean_b_colouring`, `full_report`), which
   scans candidate class-size vectors in increasing-mean order and settles
-  each one with a capped backtracking feasibility search;
+  each one with a capped backtracking feasibility search.  chi, phi, the
+  scan and the realize step all run that one b-colouring search: chi is
+  the least k with a b-colouring, because a proper colouring with chi
+  colours is always a b-colouring (Irving & Manlove 1999);
 
 * the naive oracle (`enumerate_b_colourings`, `naive_b_chromatic_number`,
   `naive_extremal`), which walks every labelled colouring in lexicographic
@@ -100,48 +103,10 @@ def _degree_desc_order(adj: list[list[int]]) -> list[int]:
     return sorted(range(len(adj)), key=lambda v: (-len(adj[v]), v))
 
 
-def _colourable(adj: list[list[int]], k: int, order: list[int]) -> tuple[bool, int]:
-    """Proper-colourability with at most k colours (canonical label order)."""
-    n = len(adj)
-    col = [0] * n
+def _first_k(adj: list[list[int]], order: list[int], ks: range) -> tuple[int, int]:
+    """(first k in ks with a b-colouring of exactly k colours, nodes)."""
     nodes = 0
-
-    def rec(idx: int, opened: int) -> bool:
-        nonlocal nodes
-        if idx == n:
-            return True
-        v = order[idx]
-        used = {col[u] for u in adj[v] if col[u]}
-        limit = min(k, opened + 1)
-        for c in range(1, limit + 1):
-            if c in used:
-                continue
-            col[v] = c
-            nodes += 1
-            if rec(idx + 1, max(opened, c)):
-                return True
-            col[v] = 0
-        return False
-
-    return rec(0, 0), nodes
-
-
-def _chi(adj: list[list[int]], order: list[int]) -> tuple[int, int]:
-    """(chromatic number, nodes): feasibility on increasing k."""
-    nodes = 0
-    for k in range(1, len(adj) + 1):
-        ok, explored = _colourable(adj, k, order)
-        nodes += explored
-        if ok:
-            return k, nodes
-    raise AssertionError("unreachable: n colours always suffice")
-
-
-def _phi(adj: list[list[int]], order: list[int]) -> tuple[int, int]:
-    """(b-chromatic number, nodes): k from max_degree + 1 downward."""
-    nodes = 0
-    top = max((len(a) for a in adj), default=0) + 1
-    for k in range(min(top, len(adj)), 0, -1):
+    for k in ks:
         assignment, explored = _b_search(adj, k, None, order)
         nodes += explored
         if assignment is not None:
@@ -149,15 +114,28 @@ def _phi(adj: list[list[int]], order: list[int]) -> tuple[int, int]:
     raise AssertionError("unreachable: every graph has a b-colouring with chi colours")
 
 
+def _chi(adj: list[list[int]], order: list[int]) -> tuple[int, int]:
+    """(chromatic number, nodes): the least k with a b-colouring."""
+    return _first_k(adj, order, range(1, len(adj) + 1))
+
+
+def _phi(adj: list[list[int]], order: list[int]) -> tuple[int, int]:
+    """(b-chromatic number, nodes): k from max_degree + 1 downward."""
+    top = max((len(a) for a in adj), default=0) + 1
+    return _first_k(adj, order, range(min(top, len(adj)), 0, -1))
+
+
 def _b_search(adj: list[list[int]], k: int, caps: tuple[int, ...] | None,
               order: list[int]) -> tuple[list[int] | None, int]:
     """First b-colouring with exactly k colours found by depth-first search.
 
     caps fixes each colour class size exactly (caps[i] is the size of class
-    i+1, and sum(caps) must equal n); None leaves sizes free.  Colours are
-    tried in ascending label order, and labels with equal caps may only open
-    in label order, so with the identity vertex order the first solution is
-    the lexicographically smallest assignment in its symmetry class.
+    i+1, and sum(caps) must equal n); None leaves sizes free.  caps must be
+    monotone (non-increasing or non-decreasing), so that labels with equal
+    caps are adjacent.  Colours are tried in ascending label order, and
+    labels with equal caps may only open in label order, so with the
+    identity vertex order the first solution is the lexicographically
+    smallest assignment in its symmetry class.
 
     Branches are cut when some colour class can no longer contain a
     b-vertex, when an uncoloured vertex has no usable colour left, or (in
@@ -171,14 +149,6 @@ def _b_search(adj: list[list[int]], k: int, caps: tuple[int, ...] | None,
     eligible = [len(adj[v]) >= k - 1 for v in range(n)]
     if sum(eligible) < k:
         return None, 0
-
-    # prev_same[c]: previous label with the same cap (symmetry group order)
-    prev_same = [0] * (k + 1)
-    for c in range(2, k + 1):
-        for c2 in range(c - 1, 0, -1):
-            if caps_list[c2] == caps_list[c]:
-                prev_same[c] = c2
-                break
 
     col = [0] * n
     size = [0] * (k + 1)
@@ -278,16 +248,16 @@ def _b_search(adj: list[list[int]], k: int, caps: tuple[int, ...] | None,
             cbit = 1 << (c - 1)
             if nbr_mask[v] & cbit or full_mask & cbit:
                 continue
-            if size[c] == 0 and prev_same[c] and size[prev_same[c]] == 0:
+            if c > 1 and caps_list[c - 1] == caps_list[c] and size[c - 1] == 0:
                 continue
             assign(v, c)
             nodes += 1
-            if feasible([order[i] for i in range(idx + 1, n)]) and rec(idx + 1):
+            if feasible(order[idx + 1:]) and rec(idx + 1):
                 return True
             undo(v, c)
         return False
 
-    if not feasible(list(order)):
+    if not feasible(order):
         return None, nodes
     if rec(0):
         return col, nodes
@@ -319,8 +289,9 @@ def _independence_number(adj: list[list[int]]) -> int:
     return best
 
 
-def _partitions_desc(total: int, parts: int) -> list[tuple[int, ...]]:
-    """All non-increasing tuples of `parts` positive integers summing to total."""
+def _partitions_desc(total: int, parts: int, largest: int) -> list[tuple[int, ...]]:
+    """All non-increasing tuples of `parts` positive integers summing to
+    total, none above largest."""
     out: list[tuple[int, ...]] = []
 
     def rec(remaining: int, slots: int, cap: int, prefix: tuple[int, ...]) -> None:
@@ -332,8 +303,7 @@ def _partitions_desc(total: int, parts: int) -> list[tuple[int, ...]]:
         for first in range(upper, 0, -1):
             rec(remaining - first, slots - 1, first, prefix + (first,))
 
-    if parts >= 1:
-        rec(total, parts, total, ())
+    rec(total, parts, largest, ())
     return out
 
 
@@ -357,8 +327,7 @@ class _Extremal:
         self.order = order
         self.nodes = 0
         self._achievable: dict[tuple[int, ...], bool] = {}
-        alpha = _independence_number(adj) if adj else 0
-        self.candidates = [t for t in _partitions_desc(len(adj), k) if t[0] <= alpha]
+        self.candidates = _partitions_desc(len(adj), k, _independence_number(adj))
 
     def achievable(self, theta: tuple[int, ...]) -> bool:
         hit = self._achievable.get(theta)
@@ -399,7 +368,7 @@ class _Extremal:
 
 def chromatic_number(g: Graph, max_n: int | None = None,
                      allow_disconnected: bool = False) -> int:
-    """Exact chromatic number by feasibility backtracking on increasing k."""
+    """Exact chromatic number: the least k admitting a b-colouring."""
     return _chi(*_prepare(g, max_n, allow_disconnected))[0]
 
 

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 
@@ -35,6 +36,27 @@ def test_gen_trivial_graph_warns():
     assert code == 0
     assert "trivial" in err
     assert b.parse_graph(out, "edgelist").n == 1
+
+
+def test_trivial_graph_warning_is_one_plain_line():
+    code, out, err = run_cli("stats", "--family", "complete", "--n", "1")
+    assert code == 0
+    assert err == "warning: trivial graph: statistics are degenerate\n"
+    record = json.loads(out)
+    assert (record["chi"], record["phi"], record["min"]["colouring"]) == (1, 1, [1])
+    code, out, err = run_cli("sweep", "--family", "complete", "--range", "1..2")
+    assert code == 0
+    assert err == "warning: trivial graph: statistics are degenerate\n"
+    assert out == (
+        "family,n,phi,printed_mean,printed_variance,corrected_mean,corrected_variance,"
+        "search_mean,search_variance,errata,consistent,note,error\n"
+        "complete,1,1,1,0,1,0,1,0,False,True,,\n"
+        "complete,2,2,3/2,1/4,3/2,1/4,3/2,1/4,False,True,,\n")
+    # the active filters still apply, so -W ignore silences the line
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, _, err = run_cli("stats", "--family", "complete", "--n", "1")
+    assert code == 0 and err == ""
 
 
 def test_gen_complete_bipartite_and_random():

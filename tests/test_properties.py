@@ -1,7 +1,7 @@
 """Property-based invariants over random small graphs and colourings."""
 
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import permutations, product
 
 from hypothesis import given, settings, strategies as st
 
@@ -105,6 +105,11 @@ def test_b_vertices_decomposition_matches_validator(gc):
 @given(connected_graphs(max_n=6))
 @settings(max_examples=30, deadline=None)
 def test_search_agrees_with_oracle_on_random_graphs(g):
+    # brute-force chi: the least k with some proper assignment of k colours
+    chi = next(k for k in range(1, g.n + 1)
+               if any(all(a[u - 1] != a[v - 1] for u, v in g.edges)
+                      for a in product(range(k), repeat=g.n)))
+    assert b.chromatic_number(g) == chi
     phi = b.b_chromatic_number(g)
     assert b.chromatic_number(g) <= phi <= b.max_degree(g) + 1
     assert phi == b.naive_b_chromatic_number(g)

@@ -16,6 +16,18 @@ def test_chromatic_number_examples():
     assert b.chromatic_number(b.complete(6)) == 6
     assert b.chromatic_number(b.cycle(6)) == 2
     assert b.chromatic_number(b.build_graph(1, [])) == 1
+    assert b.chromatic_number(b.wheel(4)) == 3
+    assert b.chromatic_number(b.wheel(5)) == 4
+    assert b.chromatic_number(b.sunlet(5)) == 3
+    assert b.chromatic_number(b.closed_ladder(4)) == 2
+    assert b.chromatic_number(b.closed_ladder(5)) == 3
+    # Mycielskian of C5 (Groetzsch graph): triangle-free, chromatic number 4;
+    # 6..10 shadow 1..5 and 11 joins every shadow vertex
+    cycle5 = [(i, i % 5 + 1) for i in range(1, 6)]
+    shadows = [(u + 5, v) for u, v in cycle5] + [(v + 5, u) for u, v in cycle5]
+    groetzsch = b.build_graph(11, cycle5 + shadows + [(w, 11) for w in range(6, 11)])
+    assert b.chromatic_number(groetzsch) == 4
+    assert b.chromatic_number(b.build_graph(3, []), allow_disconnected=True) == 1
 
 
 def test_b_chromatic_number_examples():
