@@ -84,7 +84,7 @@ def _generate(family: str, args) -> graphs.Graph:
 def cmd_gen(args) -> int:
     g = _generate(args.family, args)
     if g.n == 1:
-        print("warning: trivial single-vertex graph", file=sys.stderr)
+        warnings.warn("trivial single-vertex graph")
     text = gio.format_graph(g, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
 from .graphs import Graph
@@ -141,6 +142,7 @@ def _b_search(adj: list[list[int]], k: int, caps: tuple[int, ...] | None,
     b-vertex, when an uncoloured vertex has no usable colour left, or (in
     capped mode) when a class can no longer be filled to its cap.  All cuts
     are optimistic about uncoloured vertices, so a refutation is exact.
+    Each bit an assignment sets in nbr_mask is cleared by its own undo.
     """
     n = len(adj)
     full = (1 << k) - 1
@@ -152,14 +154,13 @@ def _b_search(adj: list[list[int]], k: int, caps: tuple[int, ...] | None,
 
     col = [0] * n
     size = [0] * (k + 1)
-    nbr_cnt = [[0] * (k + 1) for _ in range(n)]
     nbr_mask = [0] * n          # colours present among assigned neighbours
+    avail = [0] * n             # usable colours of each uncoloured vertex
     members: list[list[int]] = [[] for _ in range(k + 1)]
     full_mask = 0               # classes at their cap
     nodes = 0
 
     def feasible(unassigned: list[int]) -> bool:
-        avail = {}
         for v in unassigned:
             m = full & ~nbr_mask[v] & ~full_mask
             if m == 0:
@@ -167,8 +168,8 @@ def _b_search(adj: list[list[int]], k: int, caps: tuple[int, ...] | None,
             avail[v] = m
         if caps is not None:
             fill = [0] * (k + 1)
-            for m in avail.values():
-                mm = m
+            for v in unassigned:
+                mm = avail[v]
                 while mm:
                     b = mm & -mm
                     fill[b.bit_length()] += 1
@@ -176,71 +177,29 @@ def _b_search(adj: list[list[int]], k: int, caps: tuple[int, ...] | None,
             for c in range(1, k + 1):
                 if size[c] + fill[c] < caps_list[c]:
                     return False
-        else:
-            if sum(1 for c in range(1, k + 1) if size[c] == 0) > len(avail):
-                return False
         for c in range(1, k + 1):
             cbit = 1 << (c - 1)
             need = full & ~cbit
-            ok = False
-            for v in members[c]:
-                if not eligible[v]:
+            # a b-vertex of class c: a member, or an uncoloured vertex that
+            # may still join c, whose neighbours may still show every colour
+            for v in chain(members[c], unassigned if size[c] < caps_list[c] else ()):
+                if not eligible[v] or not (col[v] or avail[v] & cbit):
                     continue
                 cover = nbr_mask[v]
                 if cover & need != need:
                     for u in adj[v]:
                         if col[u] == 0:
-                            cover |= avail[u] & ~cbit
+                            cover |= avail[u]
                             if cover & need == need:
                                 break
                 if cover & need == need:
-                    ok = True
                     break
-            if not ok and size[c] < caps_list[c]:
-                for v, vm in avail.items():
-                    if not eligible[v] or not (vm & cbit):
-                        continue
-                    cover = 0
-                    for u in adj[v]:
-                        if col[u]:
-                            cover |= 1 << (col[u] - 1)
-                        else:
-                            cover |= avail[u] & ~cbit
-                    if cover & need == need:
-                        ok = True
-                        break
-            if not ok:
+            else:
                 return False
         return True
 
-    def assign(v: int, c: int) -> None:
-        nonlocal full_mask
-        col[v] = c
-        size[c] += 1
-        members[c].append(v)
-        if size[c] == caps_list[c]:
-            full_mask |= 1 << (c - 1)
-        cbit = 1 << (c - 1)
-        for u in adj[v]:
-            nbr_cnt[u][c] += 1
-            if nbr_cnt[u][c] == 1:
-                nbr_mask[u] |= cbit
-
-    def undo(v: int, c: int) -> None:
-        nonlocal full_mask
-        cbit = 1 << (c - 1)
-        for u in adj[v]:
-            nbr_cnt[u][c] -= 1
-            if nbr_cnt[u][c] == 0:
-                nbr_mask[u] &= ~cbit
-        if size[c] == caps_list[c]:
-            full_mask &= ~cbit
-        members[c].pop()
-        size[c] -= 1
-        col[v] = 0
-
     def rec(idx: int) -> bool:
-        nonlocal nodes
+        nonlocal nodes, full_mask
         if idx == n:
             return True
         v = order[idx]
@@ -250,18 +209,27 @@ def _b_search(adj: list[list[int]], k: int, caps: tuple[int, ...] | None,
                 continue
             if c > 1 and caps_list[c - 1] == caps_list[c] and size[c - 1] == 0:
                 continue
-            assign(v, c)
+            col[v] = c
+            size[c] += 1
+            members[c].append(v)
+            saved_full = full_mask
+            if size[c] == caps_list[c]:
+                full_mask |= cbit
+            newly = [u for u in adj[v] if not nbr_mask[u] & cbit]
+            for u in newly:
+                nbr_mask[u] |= cbit
             nodes += 1
             if feasible(order[idx + 1:]) and rec(idx + 1):
                 return True
-            undo(v, c)
+            for u in newly:
+                nbr_mask[u] &= ~cbit
+            full_mask = saved_full
+            members[c].pop()
+            size[c] -= 1
+            col[v] = 0
         return False
 
-    if not feasible(order):
-        return None, nodes
-    if rec(0):
-        return col, nodes
-    return None, nodes
+    return (col if rec(0) else None), nodes
 
 
 def _independence_number(adj: list[list[int]]) -> int:
@@ -469,19 +437,14 @@ def enumerate_b_colourings(g: Graph, k: int, max_n: int | None = None) -> Iterat
     return rec(0)
 
 
-def naive_b_chromatic_number(g: Graph, max_n: int | None = None,
-                             use_degree_bound: bool = True) -> int:
+def naive_b_chromatic_number(g: Graph, max_n: int | None = None) -> int:
     """phi by brute force: largest k whose enumeration stream is non-empty.
 
-    use_degree_bound skips k > m_degree(g) (k b-vertices of degree >= k-1
-    are required); disable it to cross-check that bound on tiny graphs.
+    k above m_degree(g) is skipped: a b-colouring with k colours needs k
+    b-vertices of degree >= k-1.
     """
     _check_caps(g, max_n, DEFAULT_ORACLE_CAP)
-    top = max((g.degree(v) for v in g.vertices()), default=0) + 1
-    bound = min(top, g.n)
-    if use_degree_bound:
-        bound = min(bound, m_degree(g))
-    for k in range(bound, 0, -1):
+    for k in range(m_degree(g), 0, -1):
         if next(iter(enumerate_b_colourings(g, k, max_n=max_n)), None) is not None:
             return k
     raise AssertionError("unreachable: k = 1 succeeds on edgeless graphs only, "

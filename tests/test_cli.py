@@ -34,8 +34,13 @@ def test_gen_closed_ladder_edgelist_stdout():
 def test_gen_trivial_graph_warns():
     code, out, err = run_cli("gen", "--family", "path", "--n", "1")
     assert code == 0
-    assert "trivial" in err
+    assert err == "warning: trivial single-vertex graph\n"
     assert b.parse_graph(out, "edgelist").n == 1
+    # like every other warning, -W ignore silences it
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, quiet_out, err = run_cli("gen", "--family", "path", "--n", "1")
+    assert code == 0 and err == "" and quiet_out == out
 
 
 def test_trivial_graph_warning_is_one_plain_line():

@@ -101,6 +101,14 @@ def test_no_b_colouring_raises():
         b.min_mean_b_colouring(b.cycle(4), 3)
     with pytest.raises(NoBColouringError):
         b.max_mean_b_colouring(b.path(4), 3)
+    # k above m_degree: the search returns before exploring a node
+    with pytest.raises(NoBColouringError):
+        b.min_mean_b_colouring(b.path(5), 4)
+    # k > n: there is no candidate size vector at all
+    with pytest.raises(NoBColouringError):
+        b.max_mean_b_colouring(b.path(3), 5)
+    with pytest.raises(ValueError):
+        b.min_mean_b_colouring(b.path(3), 0)
 
 
 def test_full_report_examples():
@@ -158,12 +166,13 @@ def test_disconnected_gate():
 
 
 def test_m_degree_bound_matches_unfiltered_oracle():
-    # the degree bound used to shortcut the oracle must not change results
+    # the degree bound used to shortcut the oracle must not change results:
+    # no k it skips below the trivial bound has a b-colouring
     graphs = [b.path(5), b.cycle(6), b.wheel(4), b.complete(4),
               b.sunlet(3), b.build_graph(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3)])]
     for g in graphs:
-        assert (b.naive_b_chromatic_number(g, use_degree_bound=False)
-                == b.naive_b_chromatic_number(g, use_degree_bound=True))
+        for k in range(m_degree(g) + 1, min(b.max_degree(g) + 1, g.n) + 1):
+            assert next(b.enumerate_b_colourings(g, k), None) is None
         assert b.b_chromatic_number(g) <= m_degree(g)
 
 
