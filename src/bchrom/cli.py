@@ -31,16 +31,19 @@ FAMILY_CHOICES = [f.value for f in closed_forms.Family]
 GEN_CHOICES = FAMILY_CHOICES + ["complete-bipartite", "random"]
 
 
-class _UsageError(Exception):
-    pass
+# first match wins; every malformed-input error is a ValueError
+_EXIT_CODES = {search.SearchCapError: EXIT_CAP, OSError: EXIT_IO, ValueError: EXIT_USAGE}
 
 
-def _rat(x: Fraction | None) -> dict | None:
-    return None if x is None else {"num": x.numerator, "den": x.denominator}
+def _rat(x) -> dict:
+    """json default: a Fraction becomes its exact {"num": .., "den": ..} pair."""
+    if isinstance(x, Fraction):
+        return {"num": x.numerator, "den": x.denominator}
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def _dump_json(obj, out) -> None:
-    json.dump(obj, out, indent=2)
+    json.dump(obj, out, indent=2, default=_rat)
     out.write("\n")
 
 
@@ -49,31 +52,31 @@ def _parse_range(text: str) -> range:
         lo, hi = text.split("..")
         lo, hi = int(lo), int(hi)
     except ValueError as exc:
-        raise _UsageError(f"range must look like A..B, got {text!r}") from exc
+        raise ValueError(f"range must look like A..B, got {text!r}") from exc
     if hi < lo:
-        raise _UsageError(f"empty range {text!r}")
+        raise ValueError(f"empty range {text!r}")
     return range(lo, hi + 1)
 
 
 def _load_graph(args) -> tuple[graphs.Graph, str]:
     """Graph plus a stable descriptor, from --family/--n or --graph FILE."""
     if args.family and args.graph:
-        raise _UsageError("give either --family or --graph, not both")
+        raise ValueError("give either --family or --graph, not both")
     if args.family:
         if args.n is None:
-            raise _UsageError("--family requires --n")
+            raise ValueError("--family requires --n")
         g = _generate(args.family, args)
         return g, f"{args.family}({args.n})"
     if args.graph:
         g = gio.read_graph(args.graph, args.graph_format)
         return g, args.graph
-    raise _UsageError("give a graph via --family/--n or --graph FILE")
+    raise ValueError("give a graph via --family/--n or --graph FILE")
 
 
 def _generate(family: str, args) -> graphs.Graph:
     if family == "complete-bipartite":
         if args.n2 is None:
-            raise _UsageError("complete-bipartite requires --n and --n2")
+            raise ValueError("complete-bipartite requires --n and --n2")
         return graphs.complete_bipartite(args.n, args.n2)
     if family == "random":
         rng = random.Random(args.seed)
@@ -85,12 +88,7 @@ def cmd_gen(args) -> int:
     g = _generate(args.family, args)
     if g.n == 1:
         warnings.warn("trivial single-vertex graph")
-    text = gio.format_graph(g, args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    gio.write_graph(g, args.out or sys.stdout, args.format)
     return EXIT_OK
 
 
@@ -113,14 +111,19 @@ def _colouring_record(g, c, descriptor: str) -> dict:
         edges=g.m,
         k=c.k,
         strengths=list(d.strengths),
-        pmf=[_rat(f) for f in d.pmf],
-        mean=_rat(stats.mean(d)),
-        variance=_rat(stats.variance(d)),
+        pmf=list(d.pmf),
+        mean=stats.mean(d),
+        variance=stats.variance(d),
         proper=proper,
         uses_all_colours=surjective,
         b_colouring=is_b,
         classes_without_b_vertex=failing,
     )
+
+
+def _extremal_record(moments, colouring) -> dict:
+    return {"mean": moments.mean, "variance": moments.variance,
+            "strengths": list(colouring.strengths()), "colouring": list(colouring.colours)}
 
 
 def _report_record(g, descriptor: str, args) -> dict:
@@ -134,18 +137,8 @@ def _report_record(g, descriptor: str, args) -> dict:
         edges=g.m,
         chi=report.chi,
         phi=report.phi,
-        min={
-            "mean": _rat(report.min_stats.mean),
-            "variance": _rat(report.min_stats.variance),
-            "strengths": list(report.min_colouring.strengths()),
-            "colouring": list(report.min_colouring.colours),
-        },
-        max={
-            "mean": _rat(report.max_stats.mean),
-            "variance": _rat(report.max_stats.variance),
-            "strengths": list(report.max_colouring.strengths()),
-            "colouring": list(report.max_colouring.colours),
-        },
+        min=_extremal_record(report.min_stats, report.min_colouring),
+        max=_extremal_record(report.max_stats, report.max_colouring),
     )
 
 
@@ -182,12 +175,12 @@ def _sweep_rows(family: str, ns, max_n) -> list[dict]:
             "family": entry.family.value,
             "n": entry.n,
             "phi": entry.search_phi,
-            "printed_mean": _rat(entry.printed_mean),
-            "printed_variance": _rat(entry.printed_variance),
-            "corrected_mean": _rat(entry.corrected_mean),
-            "corrected_variance": _rat(entry.corrected_variance),
-            "search_mean": _rat(entry.search_mean),
-            "search_variance": _rat(entry.search_variance),
+            "printed_mean": entry.printed_mean,
+            "printed_variance": entry.printed_variance,
+            "corrected_mean": entry.corrected_mean,
+            "corrected_variance": entry.corrected_variance,
+            "search_mean": entry.search_mean,
+            "search_variance": entry.search_variance,
             "errata": entry.errata,
             "consistent": entry.consistent,
             "note": entry.note,
@@ -199,21 +192,16 @@ def _sweep_rows(family: str, ns, max_n) -> list[dict]:
 def _write_csv(records: list[dict], out) -> None:
     """A header row from the first record's keys, then one row per record.
 
-    Nested keys are joined with ".", rationals print as num/den, lists are
-    space-separated and None is an empty cell.
+    Nested keys are joined with "." and lists are space-separated; csv
+    writes a Fraction as str() gives it (num/den, or num when den is 1) and
+    None as an empty cell.
     """
-    def cell(value):
-        if isinstance(value, dict) and set(value) == {"num", "den"}:
-            return f"{value['num']}/{value['den']}" if value["den"] != 1 else str(value["num"])
-        return value
-
     def flatten(prefix, value, into):
-        value = cell(value)
         if isinstance(value, dict):
             for key, sub in value.items():
                 flatten(f"{prefix}.{key}" if prefix else key, sub, into)
         elif isinstance(value, list):
-            into[prefix] = " ".join(str(cell(v)) for v in value)
+            into[prefix] = " ".join(map(str, value))
         else:
             into[prefix] = value
         return into
@@ -335,19 +323,9 @@ def main(argv=None) -> int:
         # silences them; each is printed below as one plain line
         with warnings.catch_warnings(record=True) as caught:
             return args.func(args)
-    except _UsageError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (gio.FormatError, graphs.GraphError, stats.ColouringMismatchError,
-            search.DisconnectedGraphError, search.NoBColouringError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except search.SearchCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
     finally:
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)

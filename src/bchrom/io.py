@@ -42,17 +42,17 @@ def parse_dimacs(text: str) -> Graph:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        if line.startswith("p"):
-            parts = line.split()
+        parts = line.split()
+        if parts[0] == "p":
             if n is not None:
                 raise FormatError(f"line {lineno}: duplicate problem line")
             if len(parts) != 4 or parts[1] != "edge":
                 raise FormatError(f"line {lineno}: malformed header {line!r}")
             n, m = _int_pair(parts[2:], f"line {lineno}")
-        elif line.startswith("e"):
+        elif parts[0] == "e":
             if n is None:
                 raise FormatError(f"line {lineno}: edge before problem line")
-            u, v = _int_pair(line.split()[1:], f"line {lineno}")
+            u, v = _int_pair(parts[1:], f"line {lineno}")
             edges.append((u, v))
         else:
             raise FormatError(f"line {lineno}: unrecognised line {line!r}")

@@ -160,6 +160,30 @@ def test_exit_code_io_failure(tmp_path):
     assert code == 1
 
 
+def test_exit_code_undecodable_graph_file(tmp_path):
+    target = tmp_path / "g.txt"
+    target.write_bytes(b"\xff\xfe3 2\n1 2\n2 3\n")
+    code, out, err = run_cli("phi", "--graph", str(target))
+    # a UnicodeDecodeError is malformed input, not an I/O failure
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_exit_code_directory_as_graph(tmp_path):
+    code, out, err = run_cli("phi", "--graph", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_gen_out_writes_the_stdout_bytes(tmp_path):
+    target = tmp_path / "w5.col"
+    argv = ("gen", "--family", "wheel", "--n", "5", "--format", "dimacs")
+    code, out, _ = run_cli(*argv)
+    file_code, file_out, _ = run_cli(*argv, "--out", str(target))
+    assert code == file_code == 0 and file_out == ""
+    assert target.read_bytes() == out.encode()
+
+
 def test_exit_code_search_cap():
     code, _, err = run_cli("stats", "--family", "path", "--n", "40")
     assert code == 3 and "cap" in err
@@ -341,7 +365,131 @@ path,6,,5/3,5/9,5/3,5/9,,,False,False,,"graph has 6 vertices, cap is 5"
 """
 
 
-def test_cli_bytes_are_pinned():
+PINNED_CYCLE4_COLOURING_JSON = """\
+{
+  "tool": "bchrom",
+  "version": "0.1.0",
+  "command": "stats",
+  "graph": "cycle(4)",
+  "vertices": 4,
+  "edges": 4,
+  "k": 2,
+  "strengths": [
+    2,
+    2
+  ],
+  "pmf": [
+    {
+      "num": 1,
+      "den": 2
+    },
+    {
+      "num": 1,
+      "den": 2
+    }
+  ],
+  "mean": {
+    "num": 3,
+    "den": 2
+  },
+  "variance": {
+    "num": 1,
+    "den": 4
+  },
+  "proper": true,
+  "uses_all_colours": true,
+  "b_colouring": true,
+  "classes_without_b_vertex": []
+}
+"""
+
+PINNED_CYCLE4_COLOURING_CSV = """\
+tool,version,command,graph,vertices,edges,k,strengths,pmf,mean,variance,proper,uses_all_colours,b_colouring,classes_without_b_vertex
+bchrom,0.1.0,stats,cycle(4),4,4,2,2 2,1/2 1/2,3/2,1/4,True,True,True,
+"""
+
+PINNED_PATH_VERIFY_CAPPED_JSON = """\
+{
+  "tool": "bchrom",
+  "version": "0.1.0",
+  "command": "verify",
+  "family": "path",
+  "range": [
+    5,
+    6
+  ],
+  "rows": [
+    {
+      "family": "path",
+      "n": 5,
+      "phi": 3,
+      "printed_mean": {
+        "num": 9,
+        "den": 5
+      },
+      "printed_variance": {
+        "num": 14,
+        "den": 25
+      },
+      "corrected_mean": {
+        "num": 9,
+        "den": 5
+      },
+      "corrected_variance": {
+        "num": 14,
+        "den": 25
+      },
+      "search_mean": {
+        "num": 9,
+        "den": 5
+      },
+      "search_variance": {
+        "num": 14,
+        "den": 25
+      },
+      "errata": false,
+      "consistent": true,
+      "note": "",
+      "error": ""
+    },
+    {
+      "family": "path",
+      "n": 6,
+      "phi": null,
+      "printed_mean": {
+        "num": 5,
+        "den": 3
+      },
+      "printed_variance": {
+        "num": 5,
+        "den": 9
+      },
+      "corrected_mean": {
+        "num": 5,
+        "den": 3
+      },
+      "corrected_variance": {
+        "num": 5,
+        "den": 9
+      },
+      "search_mean": null,
+      "search_variance": null,
+      "errata": false,
+      "consistent": false,
+      "note": "",
+      "error": "graph has 6 vertices, cap is 5"
+    }
+  ],
+  "regressions": 0,
+  "cap_errors": 1,
+  "status": "cap-exceeded"
+}
+"""
+
+
+def test_cli_bytes_are_pinned(tmp_path):
+    colouring = tmp_path / "c.txt"
+    colouring.write_text("2\n1 1\n2 2\n3 1\n4 2\n")
     cases = [
         (("stats", "--family", "sunlet", "--n", "5"), 0, PINNED_SUNLET5_JSON),
         (("stats", "--family", "sunlet", "--n", "5", "--format", "csv"), 0,
@@ -351,6 +499,14 @@ def test_cli_bytes_are_pinned():
         # cap overrun: the second row has empty (None) search cells
         (("verify", "--family", "path", "--range", "5..6", "--max-n", "5",
           "--format", "csv"), 3, PINNED_PATH_VERIFY_CAPPED_CSV),
+        # JSON null for the same missing cells
+        (("verify", "--family", "path", "--range", "5..6", "--max-n", "5"), 3,
+         PINNED_PATH_VERIFY_CAPPED_JSON),
+        # a list of rationals: the p.m.f. of a colouring
+        (("stats", "--family", "cycle", "--n", "4", "--colouring", str(colouring)), 0,
+         PINNED_CYCLE4_COLOURING_JSON),
+        (("stats", "--family", "cycle", "--n", "4", "--colouring", str(colouring),
+          "--format", "csv"), 0, PINNED_CYCLE4_COLOURING_CSV),
     ]
     for argv, want_code, want_out in cases:
         code, out, _ = run_cli(*argv)

@@ -65,6 +65,9 @@ def test_dimacs_accepts_disconnected():
     "p edge 3 1\ne 1 1\n",        # self-loop
     "q edge 3 1\ne 1 2\n",        # junk line
     "p edge 2 1\np edge 2 1\ne 1 2\n",
+    "problem edge 2 1\nedge 1 2\n",  # keywords must be exactly p and e
+    "px edge 2 1\ne 1 2\n",
+    "p edge 2 1\nex 1 2\n",
 ])
 def test_malformed_dimacs(text):
     with pytest.raises(FormatError):
