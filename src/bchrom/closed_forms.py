@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import graphs
 from .graphs import Graph
-from .search import SearchCapError, full_report
+from .search import DEFAULT_SEARCH_CAP, SearchCapError, _check_caps, full_report
 
 
 class Family(str, Enum):
@@ -59,6 +59,13 @@ _GENERATORS = {
 
 def generate(family: Family, n: int) -> Graph:
     return _GENERATORS[Family(family)](n)
+
+
+def _vertex_count(family: Family, n: int) -> int:
+    """Vertices of generate(family, n), known without building the graph."""
+    if family is Family.WHEEL:
+        return n + 1
+    return 2 * n if family in (Family.SUNLET, Family.CLOSED_LADDER) else n
 
 
 def _check_domain(family: Family, n: int) -> None:
@@ -279,6 +286,7 @@ def sweep(family, ns, max_n: int | None = None) -> list[ClosedFormEntry]:
         pm, pv = printed_value(family, n)
         cm, cv, note = corrected_value(family, n)
         try:
+            _check_caps(_vertex_count(family, n), max_n, DEFAULT_SEARCH_CAP)
             report = full_report(generate(family, n), max_n=max_n)
             phi, sm, sv = report.phi, report.min_stats.mean, report.min_stats.variance
             error = ""

@@ -40,9 +40,9 @@ def parse_dimacs(text: str) -> Graph:
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
         parts = line.split()
+        if not parts or parts[0] == "c":
+            continue
         if parts[0] == "p":
             if n is not None:
                 raise FormatError(f"line {lineno}: duplicate problem line")

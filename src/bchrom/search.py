@@ -3,9 +3,12 @@
 Two independent routes are provided:
 
 * the pruned search (`chromatic_number`, `b_chromatic_number`,
-  `min_mean_b_colouring`, `max_mean_b_colouring`, `full_report`), which
-  scans candidate class-size vectors in increasing-mean order and settles
-  each one with a capped backtracking feasibility search.  chi, phi, the
+  `min_mean_b_colouring`, `max_mean_b_colouring`, `full_report`).  One
+  pass ranks candidate class-size vectors by (mean, variance) and settles
+  each one with a capped backtracking feasibility search; the first group
+  with an achievable vector gives the class sizes of both the minimum-
+  and the maximum-mean b-colouring.  A realize step then finds the
+  lexicographically smallest assignment with those sizes.  chi, phi, the
   scan and the realize step all run that one b-colouring search: chi is
   the least k with a b-colouring, because a proper colouring with chi
   colours is always a b-colouring (Irving & Manlove 1999);
@@ -23,7 +26,8 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import Iterator
 
 from .graphs import Graph
@@ -64,17 +68,17 @@ def _adj0(g: Graph) -> list[list[int]]:
     return [sorted(w - 1 for w in g.adjacency[v]) for v in g.vertices()]
 
 
-def _check_caps(g: Graph, max_n: int | None, default: int) -> None:
+def _check_caps(n: int, max_n: int | None, default: int) -> None:
     cap = default if max_n is None else max_n
-    if g.n > cap:
-        raise SearchCapError(f"graph has {g.n} vertices, cap is {cap}")
+    if n > cap:
+        raise SearchCapError(f"graph has {n} vertices, cap is {cap}")
 
 
 def _prepare(g: Graph, max_n: int | None,
              allow_disconnected: bool) -> tuple[list[list[int]], list[int]]:
     """Gate on the search cap and connectivity, then give the 0-based
     adjacency and the degree-descending vertex order the search runs on."""
-    _check_caps(g, max_n, DEFAULT_SEARCH_CAP)
+    _check_caps(g.n, max_n, DEFAULT_SEARCH_CAP)
     if not allow_disconnected and not g.connected:
         raise DisconnectedGraphError(
             "graph is disconnected; pass allow_disconnected=True to override")
@@ -275,63 +279,42 @@ def _partitions_desc(total: int, parts: int, largest: int) -> list[tuple[int, ..
     return out
 
 
-def _moment_keys(theta: tuple[int, ...]) -> tuple[int, int]:
-    """(sum i*theta_i, n * sum i^2*theta_i - (sum i*theta_i)^2): integer
-    surrogates that order candidate vectors by mean, then variance."""
-    n = sum(theta)
-    m1 = sum(i * t for i, t in enumerate(theta, start=1))
-    m2 = sum(i * i * t for i, t in enumerate(theta, start=1))
-    return m1, n * m2 - m1 * m1
+def _extremal_sizes(adj: list[list[int]], order: list[int],
+                    k: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """(min_sizes, max_sizes, nodes): the class sizes by label of the
+    minimum- and maximum-mean b-colourings with exactly k colours.
+
+    Candidate size vectors are ranked by (mean, variance) with descending
+    labels, and each one in the first group of equal statistics is tested
+    with the capped search.  A size multiset maximises the mean (ascending
+    labels) exactly when it minimises it (descending labels): reversing
+    labels maps one optimum onto the other.  So one pass serves both ends,
+    which differ only in the strength-vector tie-break among the hits.
+    """
+    if k < 1:
+        raise ValueError("colour count must be >= 1")
+    candidates = _partitions_desc(len(adj), k, _independence_number(adj))
+    nodes = 0
+    for _, group in groupby(sorted((stats_from_strengths(t), t) for t in candidates),
+                            key=itemgetter(0)):
+        hits = []
+        for _, theta in group:
+            assignment, explored = _b_search(adj, k, theta, order)
+            nodes += explored
+            if assignment is not None:
+                hits.append(theta)
+        if hits:
+            return min(hits), min(t[::-1] for t in hits), nodes
+    raise NoBColouringError(f"no b-colouring of this graph uses exactly {k} colours")
 
 
-class _Extremal:
-    """Shared scan for the minimum- and maximum-mean b-colourings at fixed k."""
-
-    def __init__(self, k: int, adj: list[list[int]], order: list[int]):
-        if k < 1:
-            raise ValueError("colour count must be >= 1")
-        self.k = k
-        self.adj = adj
-        self.order = order
-        self.nodes = 0
-        self._achievable: dict[tuple[int, ...], bool] = {}
-        self.candidates = _partitions_desc(len(adj), k, _independence_number(adj))
-
-    def achievable(self, theta: tuple[int, ...]) -> bool:
-        hit = self._achievable.get(theta)
-        if hit is None:
-            assignment, nodes = _b_search(self.adj, self.k, theta, self.order)
-            self.nodes += nodes
-            hit = assignment is not None
-            self._achievable[theta] = hit
-        return hit
-
-    def _scan(self, orient) -> tuple[Colouring, ChromaStats]:
-        """Realize the first achievable candidate theta in (mean, variance,
-        orient(theta)) order, with class sizes orient(theta) by label.
-
-        A size multiset maximises the mean (ascending labels) exactly when
-        it minimises it (descending labels): reversing labels maps one
-        optimum onto the other.  So the two scans differ only in orient,
-        which sets the strength-vector tie-break and the realized sizes.
-        """
-        ranked = sorted(self.candidates, key=lambda t: (*_moment_keys(t), orient(t)))
-        for theta in ranked:
-            if self.achievable(theta):
-                caps = orient(theta)
-                assignment, nodes = _b_search(self.adj, self.k, caps,
-                                              list(range(len(self.adj))))
-                self.nodes += nodes
-                assert assignment is not None, "achievable size vector must realize"
-                return Colouring(self.k, tuple(assignment)), stats_from_strengths(caps)
-        raise NoBColouringError(
-            f"no b-colouring of this graph uses exactly {self.k} colours")
-
-    def minimum(self) -> tuple[Colouring, ChromaStats]:
-        return self._scan(lambda t: t)
-
-    def maximum(self) -> tuple[Colouring, ChromaStats]:
-        return self._scan(lambda t: t[::-1])
+def _realize(adj: list[list[int]], k: int,
+             caps: tuple[int, ...]) -> tuple[Colouring, ChromaStats, int]:
+    """(colouring, stats, nodes): the lexicographically smallest b-colouring
+    whose class sizes by label are caps, from the identity-order search."""
+    assignment, nodes = _b_search(adj, k, caps, list(range(len(adj))))
+    assert assignment is not None, "achievable size vector must realize"
+    return Colouring(k, tuple(assignment)), stats_from_strengths(caps), nodes
 
 
 def chromatic_number(g: Graph, max_n: int | None = None,
@@ -353,13 +336,15 @@ def min_mean_b_colouring(g: Graph, k: int, max_n: int | None = None,
     Ties are broken by minimum variance, then lexicographically smallest
     strength vector, then lexicographically smallest assignment.
     """
-    return _Extremal(k, *_prepare(g, max_n, allow_disconnected)).minimum()
+    adj, order = _prepare(g, max_n, allow_disconnected)
+    return _realize(adj, k, _extremal_sizes(adj, order, k)[0])[:2]
 
 
 def max_mean_b_colouring(g: Graph, k: int, max_n: int | None = None,
                          allow_disconnected: bool = False) -> tuple[Colouring, ChromaStats]:
     """Mean-maximising mirror of min_mean_b_colouring (same tie-break order)."""
-    return _Extremal(k, *_prepare(g, max_n, allow_disconnected)).maximum()
+    adj, order = _prepare(g, max_n, allow_disconnected)
+    return _realize(adj, k, _extremal_sizes(adj, order, k)[1])[:2]
 
 
 def full_report(g: Graph, max_n: int | None = None,
@@ -371,13 +356,14 @@ def full_report(g: Graph, max_n: int | None = None,
     t0 = time.perf_counter()
     chi, chi_nodes = _chi(adj, order)
     phi, phi_nodes = _phi(adj, order)
-    ext = _Extremal(phi, adj, order)
-    min_col, min_stats = ext.minimum()
-    max_col, max_stats = ext.maximum()
+    min_sizes, max_sizes, scan_nodes = _extremal_sizes(adj, order, phi)
+    min_col, min_stats, min_nodes = _realize(adj, phi, min_sizes)
+    max_col, max_stats, max_nodes = _realize(adj, phi, max_sizes)
     return SearchReport(chi=chi, phi=phi,
                         min_colouring=min_col, min_stats=min_stats,
                         max_colouring=max_col, max_stats=max_stats,
-                        nodes_explored=chi_nodes + phi_nodes + ext.nodes,
+                        nodes_explored=chi_nodes + phi_nodes + scan_nodes
+                                       + min_nodes + max_nodes,
                         seconds=time.perf_counter() - t0)
 
 
@@ -394,7 +380,7 @@ def enumerate_b_colourings(g: Graph, k: int, max_n: int | None = None) -> Iterat
     complete assignments.  Serves as the independent oracle for the pruned
     search.
     """
-    _check_caps(g, max_n, DEFAULT_ORACLE_CAP)
+    _check_caps(g.n, max_n, DEFAULT_ORACLE_CAP)
     if k < 1:
         raise ValueError("colour count must be >= 1")
     n = g.n
@@ -443,7 +429,7 @@ def naive_b_chromatic_number(g: Graph, max_n: int | None = None) -> int:
     k above m_degree(g) is skipped: a b-colouring with k colours needs k
     b-vertices of degree >= k-1.
     """
-    _check_caps(g, max_n, DEFAULT_ORACLE_CAP)
+    _check_caps(g.n, max_n, DEFAULT_ORACLE_CAP)
     for k in range(m_degree(g), 0, -1):
         if next(iter(enumerate_b_colourings(g, k, max_n=max_n)), None) is not None:
             return k

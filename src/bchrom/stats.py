@@ -82,9 +82,10 @@ class ColourDistribution:
             raise ValueError("pmf inconsistent with strengths")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ChromaStats:
-    """Exact mean and variance of the colour index of a random vertex."""
+    """Exact mean and variance of the colour index of a random vertex,
+    ordered by mean, then variance."""
 
     mean: Fraction
     variance: Fraction

@@ -12,6 +12,7 @@ from bchrom.closed_forms import (
     errata_table_csv,
     generate,
     is_registered_erratum,
+    _vertex_count,
     printed_value,
     sweep,
 )
@@ -99,6 +100,24 @@ def test_sweep_records_cap_errors_per_row():
     assert entries[0].error == "" and entries[0].consistent
     assert entries[1].error != "" and not entries[1].consistent
     assert entries[1].search_mean is None
+
+
+def test_sweep_checks_cap_before_building(monkeypatch):
+    real = b.graphs.build_graph
+
+    def capped_build(n, edges):
+        assert n <= 32, "sweep built an over-cap graph"
+        return real(n, edges)
+
+    monkeypatch.setattr(b.graphs, "build_graph", capped_build)
+    [entry] = sweep(Family.COMPLETE, range(2000, 2001))
+    assert entry.error == "graph has 2000 vertices, cap is 32"
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_vertex_count_matches_generate(family):
+    for n in range(FAMILY_MIN_N[family], 13):
+        assert _vertex_count(family, n) == generate(family, n).n
 
 
 def test_registry_and_csv():

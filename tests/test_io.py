@@ -7,7 +7,7 @@ from bchrom.io import FormatError
 
 
 def test_parse_dimacs_k3():
-    text = "c a triangle\np edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
+    text = "c a triangle\np edge 3 3\nc\ne 1 2\ne 2 3\ne 1 3\n"
     g = b.parse_graph(text, "dimacs")
     assert g == b.complete(3)
 
@@ -68,6 +68,7 @@ def test_dimacs_accepts_disconnected():
     "problem edge 2 1\nedge 1 2\n",  # keywords must be exactly p and e
     "px edge 2 1\ne 1 2\n",
     "p edge 2 1\nex 1 2\n",
+    "p edge 2 1\ncount 7\ne 1 2\n",  # a comment's first token is exactly c
 ])
 def test_malformed_dimacs(text):
     with pytest.raises(FormatError):

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 import bchrom as b
+from bchrom import search
 from bchrom.search import (
     DisconnectedGraphError,
     NoBColouringError,
@@ -94,6 +95,22 @@ def test_max_mean_returns_valid_colouring():
     assert b.is_b_colouring(g, col)
     assert b.colouring_stats(g, col) == st
     assert list(col.strengths()) == sorted(col.strengths())
+
+
+def test_extremal_tie_break_on_strength_vector(monkeypatch):
+    # (9,5,5,1) and (8,8,2,2) share mean 19/10 and variance 89/100 at
+    # n = 20, the first tie between non-increasing size vectors; a fake
+    # search admits only those two, so the tie-break alone picks the sizes
+    def fake_search(adj, k, caps, order):
+        if tuple(sorted(caps, reverse=True)) not in {(9, 5, 5, 1), (8, 8, 2, 2)}:
+            return None, 1
+        return [c for c, size in enumerate(caps, start=1) for _ in range(size)], 1
+
+    monkeypatch.setattr(search, "_b_search", fake_search)
+    col, _ = b.min_mean_b_colouring(b.path(20), 4)
+    assert col.strengths() == (8, 8, 2, 2)
+    col, _ = b.max_mean_b_colouring(b.path(20), 4)
+    assert col.strengths() == (1, 5, 5, 9)
 
 
 def test_no_b_colouring_raises():

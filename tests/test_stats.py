@@ -97,6 +97,9 @@ def test_variance_examples():
     assert b.variance(d) == F(2, 9)
     single = b.stats_from_strengths((7,))
     assert single.variance == 0
+    # statistics order by mean, then variance
+    stats = [b.ChromaStats(F(2), F(1)), b.ChromaStats(F(1), F(5)), b.ChromaStats(F(2), F(0))]
+    assert sorted(stats) == [stats[1], stats[2], stats[0]]
 
 
 def test_normalization_is_exact():
