@@ -58,13 +58,23 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _load_graph(args) -> tuple[graphs.Graph, str]:
-    """Graph plus a stable descriptor, from --family/--n or --graph FILE."""
+def _load_graph(args, capped: bool) -> tuple[graphs.Graph, str]:
+    """Graph plus a stable descriptor, from --family/--n or --graph FILE.
+
+    When capped, a family instance with more vertices than the search cap
+    (--max-n, default 32) raises SearchCapError before it is built.
+    """
     if args.family and args.graph:
         raise ValueError("give either --family or --graph, not both")
     if args.family:
         if args.n is None:
             raise ValueError("--family requires --n")
+        family = closed_forms.Family(args.family)
+        # below the family's least n the graph is tiny or invalid; building
+        # it first keeps the generator's error ahead of the cap's
+        if capped and args.n >= closed_forms.FAMILY_MIN_N[family]:
+            n = closed_forms._vertex_count(family, args.n)
+            search._check_caps(n, args.max_n, search.DEFAULT_SEARCH_CAP)
         g = _generate(args.family, args)
         return g, f"{args.family}({args.n})"
     if args.graph:
@@ -143,7 +153,7 @@ def _report_record(g, descriptor: str, args) -> dict:
 
 
 def cmd_stats(args) -> int:
-    g, descriptor = _load_graph(args)
+    g, descriptor = _load_graph(args, capped=not args.colouring)
     if args.colouring:
         with open(args.colouring, encoding="utf-8") as fh:
             c = gio.parse_colouring(fh.read())
@@ -158,7 +168,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_phi(args) -> int:
-    g, descriptor = _load_graph(args)
+    g, descriptor = _load_graph(args, capped=True)
     phi = search.b_chromatic_number(g, max_n=args.max_n,
                                     allow_disconnected=args.allow_disconnected)
     if args.format == "json":

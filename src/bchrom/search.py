@@ -11,7 +11,10 @@ Two independent routes are provided:
   lexicographically smallest assignment with those sizes.  chi, phi, the
   scan and the realize step all run that one b-colouring search: chi is
   the least k with a b-colouring, because a proper colouring with chi
-  colours is always a b-colouring (Irving & Manlove 1999);
+  colours is always a b-colouring (Irving & Manlove 1999).  The search
+  works on vertex bitmasks and prunes with four cuts (no b-vertex, empty
+  domain, cap unfillable, distinct b-vertices), each a condition every
+  completion must meet, so its answers are exact;
 
 * the naive oracle (`enumerate_b_colourings`, `naive_b_chromatic_number`,
   `naive_extremal`), which walks every labelled colouring in lexicographic
@@ -26,7 +29,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import groupby
 from operator import itemgetter
 from typing import Iterator
 
@@ -63,11 +66,6 @@ class SearchReport:
     seconds: float
 
 
-def _adj0(g: Graph) -> list[list[int]]:
-    """0-based sorted adjacency lists."""
-    return [sorted(w - 1 for w in g.adjacency[v]) for v in g.vertices()]
-
-
 def _check_caps(n: int, max_n: int | None, default: int) -> None:
     cap = default if max_n is None else max_n
     if n > cap:
@@ -75,14 +73,15 @@ def _check_caps(n: int, max_n: int | None, default: int) -> None:
 
 
 def _prepare(g: Graph, max_n: int | None,
-             allow_disconnected: bool) -> tuple[list[list[int]], list[int]]:
-    """Gate on the search cap and connectivity, then give the 0-based
-    adjacency and the degree-descending vertex order the search runs on."""
+             allow_disconnected: bool) -> tuple[list[int], list[int]]:
+    """Gate on the search cap and connectivity, then give the neighbour
+    bitmasks (bit u of adj[v] is set when u ~ v, 0-based) and the
+    degree-descending vertex order the search runs on."""
     _check_caps(g.n, max_n, DEFAULT_SEARCH_CAP)
     if not allow_disconnected and not g.connected:
         raise DisconnectedGraphError(
             "graph is disconnected; pass allow_disconnected=True to override")
-    adj = _adj0(g)
+    adj = [sum(1 << (w - 1) for w in g.adjacency[v]) for v in g.vertices()]
     return adj, _degree_desc_order(adj)
 
 
@@ -104,11 +103,11 @@ def m_degree(g: Graph) -> int:
 # Pruned backtracking search
 # ---------------------------------------------------------------------------
 
-def _degree_desc_order(adj: list[list[int]]) -> list[int]:
-    return sorted(range(len(adj)), key=lambda v: (-len(adj[v]), v))
+def _degree_desc_order(adj: list[int]) -> list[int]:
+    return sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
 
 
-def _first_k(adj: list[list[int]], order: list[int], ks: range) -> tuple[int, int]:
+def _first_k(adj: list[int], order: list[int], ks: range) -> tuple[int, int]:
     """(first k in ks with a b-colouring of exactly k colours, nodes)."""
     nodes = 0
     for k in ks:
@@ -119,130 +118,188 @@ def _first_k(adj: list[list[int]], order: list[int], ks: range) -> tuple[int, in
     raise AssertionError("unreachable: every graph has a b-colouring with chi colours")
 
 
-def _chi(adj: list[list[int]], order: list[int]) -> tuple[int, int]:
+def _chi(adj: list[int], order: list[int]) -> tuple[int, int]:
     """(chromatic number, nodes): the least k with a b-colouring."""
     return _first_k(adj, order, range(1, len(adj) + 1))
 
 
-def _phi(adj: list[list[int]], order: list[int]) -> tuple[int, int]:
+def _phi(adj: list[int], order: list[int]) -> tuple[int, int]:
     """(b-chromatic number, nodes): k from max_degree + 1 downward."""
-    top = max((len(a) for a in adj), default=0) + 1
+    top = max((a.bit_count() for a in adj), default=0) + 1
     return _first_k(adj, order, range(min(top, len(adj)), 0, -1))
 
 
-def _b_search(adj: list[list[int]], k: int, caps: tuple[int, ...] | None,
+def _distinct_representatives(sets: list[int]) -> bool:
+    """True when every bitmask in sets can be given a bit of its own that
+    no other set is given, found by Kuhn's augmenting paths."""
+    # most calls are settled by taking each set's lowest untaken bit
+    taken = 0
+    for s in sets:
+        free = s & ~taken
+        if not free:
+            break
+        taken |= free & -free
+    else:
+        return True
+    owner: dict[int, int] = {}  # bit -> index of the set it represents
+    taken = seen = 0
+
+    def augment(i: int) -> bool:
+        nonlocal taken, seen
+        free = sets[i] & ~taken
+        if free:
+            free &= -free
+            owner[free] = i
+            taken |= free
+            return True
+        rest = sets[i] & ~seen
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            if seen & b:
+                continue
+            seen |= b
+            if augment(owner[b]):
+                owner[b] = i
+                return True
+        return False
+
+    for i in range(len(sets)):
+        seen = 0
+        if not augment(i):
+            return False
+    return True
+
+
+def _b_search(adj: list[int], k: int, caps: tuple[int, ...] | None,
               order: list[int]) -> tuple[list[int] | None, int]:
     """First b-colouring with exactly k colours found by depth-first search.
 
-    caps fixes each colour class size exactly (caps[i] is the size of class
-    i+1, and sum(caps) must equal n); None leaves sizes free.  caps must be
-    monotone (non-increasing or non-decreasing), so that labels with equal
-    caps are adjacent.  Colours are tried in ascending label order, and
+    adj holds neighbour bitmasks.  caps fixes each colour class size
+    exactly (caps[i] is the size of class i+1, and sum(caps) must equal n);
+    None leaves sizes free.  caps must be monotone (non-increasing or
+    non-decreasing), so that labels with equal caps are adjacent.  Vertices
+    are coloured in `order`, colours are tried in ascending label order, and
     labels with equal caps may only open in label order, so with the
     identity vertex order the first solution is the lexicographically
     smallest assignment in its symmetry class.
 
-    Branches are cut when some colour class can no longer contain a
-    b-vertex, when an uncoloured vertex has no usable colour left, or (in
-    capped mode) when a class can no longer be filled to its cap.  All cuts
-    are optimistic about uncoloured vertices, so a refutation is exact.
-    Each bit an assignment sets in nbr_mask is cleared by its own undo.
+    The state is colour-major: per class c, the vertex mask members[c] and
+    blocked[c], the vertices adjacent to class c.  A vertex may still join c
+    when it is uncoloured, outside blocked[c], and c is under its cap; it
+    can still see colour d when it is in blocked[d] or is adjacent to a
+    vertex that may still join d.  A b-vertex candidate of c is an eligible
+    vertex (degree >= k - 1) that is in c or may still join it, and that
+    can still see every other colour.  A branch is cut when
+      * some class has no b-vertex candidate left;
+      * some uncoloured vertex may join no class (empty domain);
+      * in capped mode, some class can no longer be filled to its cap;
+      * the classes whose candidates are all uncoloured cannot be given
+        distinct candidates (a class with a coloured candidate is settled;
+        one vertex is the b-vertex of one class only).
+    Every cut is a condition that each completion meets, optimistic about
+    uncoloured vertices, so it prunes only subtrees without a solution:
+    refutations are exact and the first solution is the one an uncut
+    search would find.  Each branch saves blocked[c] and restores it on the
+    way back (members[c] and size[c] are undone in step), so every mask is
+    as it was before the branch.
     """
     n = len(adj)
-    full = (1 << k) - 1
-    caps_list = [n] * (k + 1) if caps is None else [0] + list(caps)
-
-    eligible = [len(adj[v]) >= k - 1 for v in range(n)]
-    if sum(eligible) < k:
+    cap = [n] * k if caps is None else list(caps)
+    eligible = sum(1 << v for v in range(n) if adj[v].bit_count() >= k - 1)
+    if eligible.bit_count() < k:
         return None, 0
 
-    col = [0] * n
-    size = [0] * (k + 1)
-    nbr_mask = [0] * n          # colours present among assigned neighbours
-    avail = [0] * n             # usable colours of each uncoloured vertex
-    members: list[list[int]] = [[] for _ in range(k + 1)]
-    full_mask = 0               # classes at their cap
+    size = [0] * k
+    members = [0] * k
+    blocked = [0] * k
+    colours = range(k)
+    # uncoloured[i]: the vertices left uncoloured once order[:i] is coloured
+    uncoloured = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        uncoloured[i] = uncoloured[i + 1] | 1 << order[i]
+    # nbhd[j][m]: the neighbourhood of the vertex set m << 8j, so N(S) is a
+    # few table lookups, one per byte of S
+    nbhd = []
+    for base in range(0, n, 8):
+        table = [0]
+        for u in range(base, min(base + 8, n)):
+            table += [m | adj[u] for m in table]
+        nbhd.append(table)
     nodes = 0
 
-    def feasible(unassigned: list[int]) -> bool:
-        for v in unassigned:
-            m = full & ~nbr_mask[v] & ~full_mask
-            if m == 0:
-                return False
-            avail[v] = m
-        if caps is not None:
-            fill = [0] * (k + 1)
-            for v in unassigned:
-                mm = avail[v]
-                while mm:
-                    b = mm & -mm
-                    fill[b.bit_length()] += 1
-                    mm ^= b
-            for c in range(1, k + 1):
-                if size[c] + fill[c] < caps_list[c]:
+    def feasible(free: int) -> bool:
+        avail = []
+        reach = []
+        union = 0
+        for c in colours:
+            r = blocked[c]
+            if size[c] < cap[c]:
+                a = m = free & ~r
+                if caps is not None and size[c] + a.bit_count() < cap[c]:
                     return False
-        for c in range(1, k + 1):
-            cbit = 1 << (c - 1)
-            need = full & ~cbit
-            # a b-vertex of class c: a member, or an uncoloured vertex that
-            # may still join c, whose neighbours may still show every colour
-            for v in chain(members[c], unassigned if size[c] < caps_list[c] else ()):
-                if not eligible[v] or not (col[v] or avail[v] & cbit):
-                    continue
-                cover = nbr_mask[v]
-                if cover & need != need:
-                    for u in adj[v]:
-                        if col[u] == 0:
-                            cover |= avail[u]
-                            if cover & need == need:
-                                break
-                if cover & need == need:
-                    break
+                union |= a
+                for table in nbhd:
+                    if not m:
+                        break
+                    r |= table[m & 255]
+                    m >>= 8
             else:
+                a = 0
+            avail.append(a)
+            reach.append(r)
+        if free & ~union:
+            return False
+        # candidates of c: AND of reach[d] over d != c, as prefix & suffix
+        suffix = [eligible] * k
+        for d in range(k - 1, 0, -1):
+            suffix[d - 1] = suffix[d] & reach[d]
+        prefix = eligible
+        unsettled = []
+        for c in colours:
+            cand = (members[c] | avail[c]) & prefix & suffix[c]
+            if not cand:
                 return False
-        return True
+            if not cand & members[c]:
+                unsettled.append(cand)
+            prefix &= reach[c]
+        return len(unsettled) < 2 or _distinct_representatives(unsettled)
 
     def rec(idx: int) -> bool:
-        nonlocal nodes, full_mask
+        nonlocal nodes
         if idx == n:
             return True
         v = order[idx]
-        for c in range(1, k + 1):
-            cbit = 1 << (c - 1)
-            if nbr_mask[v] & cbit or full_mask & cbit:
+        vbit = 1 << v
+        free = uncoloured[idx + 1]
+        for c in colours:
+            if blocked[c] & vbit or size[c] == cap[c]:
                 continue
-            if c > 1 and caps_list[c - 1] == caps_list[c] and size[c - 1] == 0:
+            if c and cap[c - 1] == cap[c] and size[c - 1] == 0:
                 continue
-            col[v] = c
             size[c] += 1
-            members[c].append(v)
-            saved_full = full_mask
-            if size[c] == caps_list[c]:
-                full_mask |= cbit
-            newly = [u for u in adj[v] if not nbr_mask[u] & cbit]
-            for u in newly:
-                nbr_mask[u] |= cbit
+            members[c] |= vbit
+            saved = blocked[c]
+            blocked[c] |= adj[v]
             nodes += 1
-            if feasible(order[idx + 1:]) and rec(idx + 1):
+            if feasible(free) and rec(idx + 1):
                 return True
-            for u in newly:
-                nbr_mask[u] &= ~cbit
-            full_mask = saved_full
-            members[c].pop()
+            blocked[c] = saved
+            members[c] ^= vbit
             size[c] -= 1
-            col[v] = 0
         return False
 
-    return (col if rec(0) else None), nodes
+    found = rec(0)
+    # rec reaches itself through its closure cell; clearing the cell frees
+    # the tables now rather than at the next cyclic garbage collection
+    del rec
+    if not found:
+        return None, nodes
+    return [next(c + 1 for c in colours if members[c] >> v & 1) for v in range(n)], nodes
 
 
-def _independence_number(adj: list[list[int]]) -> int:
+def _independence_number(adj: list[int]) -> int:
     """Exact independence number by branching on leftmost remaining vertex."""
-    n = len(adj)
-    masks = [0] * n
-    for v in range(n):
-        for u in adj[v]:
-            masks[v] |= 1 << u
     best = 0
 
     def rec(candidates: int, count: int) -> None:
@@ -254,10 +311,10 @@ def _independence_number(adj: list[list[int]]) -> int:
             return
         b = candidates & -candidates
         v = b.bit_length() - 1
-        rec(candidates & ~b & ~masks[v], count + 1)
+        rec(candidates & ~b & ~adj[v], count + 1)
         rec(candidates & ~b, count)
 
-    rec((1 << n) - 1, 0)
+    rec((1 << len(adj)) - 1, 0)
     return best
 
 
@@ -279,7 +336,7 @@ def _partitions_desc(total: int, parts: int, largest: int) -> list[tuple[int, ..
     return out
 
 
-def _extremal_sizes(adj: list[list[int]], order: list[int],
+def _extremal_sizes(adj: list[int], order: list[int],
                     k: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """(min_sizes, max_sizes, nodes): the class sizes by label of the
     minimum- and maximum-mean b-colourings with exactly k colours.
@@ -308,7 +365,7 @@ def _extremal_sizes(adj: list[list[int]], order: list[int],
     raise NoBColouringError(f"no b-colouring of this graph uses exactly {k} colours")
 
 
-def _realize(adj: list[list[int]], k: int,
+def _realize(adj: list[int], k: int,
              caps: tuple[int, ...]) -> tuple[Colouring, ChromaStats, int]:
     """(colouring, stats, nodes): the lexicographically smallest b-colouring
     whose class sizes by label are caps, from the identity-order search."""
@@ -370,6 +427,11 @@ def full_report(g: Graph, max_n: int | None = None,
 # ---------------------------------------------------------------------------
 # Naive enumeration oracle
 # ---------------------------------------------------------------------------
+
+def _adj0(g: Graph) -> list[list[int]]:
+    """0-based sorted adjacency lists."""
+    return [sorted(w - 1 for w in g.adjacency[v]) for v in g.vertices()]
+
 
 def enumerate_b_colourings(g: Graph, k: int, max_n: int | None = None) -> Iterator[Colouring]:
     """Every labelled b-colouring of g with exactly k colours, exactly once,

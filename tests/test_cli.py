@@ -191,6 +191,32 @@ def test_exit_code_search_cap():
     assert code == 0
 
 
+def test_family_cap_checked_before_building(monkeypatch, tmp_path):
+    real = b.graphs.build_graph
+
+    def capped_build(n, edges):
+        assert n <= 32, "built an over-cap graph"
+        return real(n, edges)
+
+    monkeypatch.setattr(b.graphs, "build_graph", capped_build)
+    for argv, vertices in [(["stats", "--family", "complete", "--n", "1000"], 1000),
+                           (["phi", "--family", "sunlet", "--n", "17"], 34),
+                           (["stats", "--family", "wheel", "--n", "32", "--format", "csv"], 33)]:
+        code, out, err = run_cli(*argv)
+        assert (code, out, err) == (3, "", f"error: graph has {vertices} vertices, cap is 32\n")
+    code, _, err = run_cli("phi", "--family", "cycle", "--n", "40", "--max-n", "39")
+    assert (code, err) == (3, "error: graph has 40 vertices, cap is 39\n")
+    # an n the family rejects is still reported as such, cap or no cap
+    code, _, err = run_cli("phi", "--family", "cycle", "--n", "2", "--max-n", "1")
+    assert (code, err) == (2, "error: cycle requires n >= 3\n")
+    # --colouring has no cap, so its graph is built whatever its size
+    monkeypatch.setattr(b.graphs, "build_graph", real)
+    target = tmp_path / "path40.txt"
+    target.write_text("2\n" + "".join(f"{v} {2 - v % 2}\n" for v in range(1, 41)))
+    code, out, _ = run_cli("stats", "--family", "path", "--n", "40", "--colouring", str(target))
+    assert code == 0 and json.loads(out)["b_colouring"] is True
+
+
 def test_disconnected_gate_and_override(tmp_path):
     target = tmp_path / "two.col"
     target.write_text("p edge 4 2\ne 1 2\ne 3 4\n")

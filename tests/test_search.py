@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 import bchrom as b
 from bchrom import search
+from bchrom.closed_forms import Family, generate
 from bchrom.search import (
     DisconnectedGraphError,
     NoBColouringError,
@@ -203,3 +205,53 @@ def test_naive_extremal_tie_break_order():
     best_min = min(c.colours for c in all_colourings
                    if b.colouring_stats(g, c) == min_s)
     assert min_c.colours == best_min
+
+
+def _small_graphs(max_vertices=7, draws=30):
+    """Every family instance and `draws` seeded random connected graphs,
+    each with at most max_vertices vertices."""
+    out = []
+    for family in Family:
+        for n in range(1, max_vertices + 1):
+            try:
+                g = generate(family, n)
+            except ValueError:
+                continue
+            if g.n <= max_vertices:
+                out.append((f"{family.value}({n})", g))
+    rng = random.Random(20261018)
+    for i in range(draws):
+        g = b.random_connected_graph(rng.randint(2, max_vertices), rng, rng.uniform(0.3, 0.8))
+        out.append((f"random#{i}", g))
+    return out
+
+
+def test_b_search_is_exact_against_the_oracle():
+    # free mode and every size vector (non-increasing and reversed): the
+    # identity-order search finds the lexicographically smallest b-colouring
+    # the oracle lists, and the degree-order search refutes exactly when
+    # the oracle lists none
+    checks = 0
+    for label, g in _small_graphs():
+        adj, degree_order = search._prepare(g, None, False)
+        identity = list(range(g.n))
+        for k in range(1, g.n + 1):
+            first_by_sizes = {}
+            for c in b.enumerate_b_colourings(g, k):
+                first_by_sizes.setdefault(c.strengths(), c.colours)
+            expected_free = min(first_by_sizes.values(), default=None)
+            thetas = {t for theta in search._partitions_desc(g.n, k, g.n)
+                      for t in (theta, theta[::-1])}
+            for caps, expected in [(None, expected_free)] + [
+                    (t, first_by_sizes.get(t)) for t in sorted(thetas)]:
+                where = f"{label}, k={k}, caps={caps}"
+                found, _ = search._b_search(adj, k, caps, identity)
+                assert (found and tuple(found)) == expected, where
+                found, _ = search._b_search(adj, k, caps, degree_order)
+                assert (found is None) == (expected is None), where
+                if found is not None:
+                    colouring = b.Colouring(k, tuple(found))
+                    assert b.is_b_colouring(g, colouring), where
+                    assert caps is None or colouring.strengths() == caps, where
+                checks += 1
+    assert checks > 800
