@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 I/O failure, 2 usage or malformed input,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import random
 import sys
@@ -58,28 +57,29 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _load_graph(args, capped: bool) -> tuple[graphs.Graph, str]:
-    """Graph plus a stable descriptor, from --family/--n or --graph FILE.
+def _read_colouring(path: str | None) -> stats.Colouring | None:
+    if not path:
+        return None
+    with open(path, encoding="utf-8") as fh:
+        return gio.parse_colouring(fh.read())
 
-    When capped, a family instance with more vertices than the search cap
-    (--max-n, default 32) raises SearchCapError before it is built.
-    """
+
+def _load_graph(args, colouring_file: str | None = None,
+                ) -> tuple[graphs.Graph, str, stats.Colouring | None]:
+    """(graph, stable descriptor, colouring read from colouring_file or
+    None), from --family/--n or --graph FILE.  A family instance is checked
+    by closed_forms.checked_generate before it is built."""
     if args.family and args.graph:
         raise ValueError("give either --family or --graph, not both")
     if args.family:
         if args.n is None:
             raise ValueError("--family requires --n")
-        family = closed_forms.Family(args.family)
-        # below the family's least n the graph is tiny or invalid; building
-        # it first keeps the generator's error ahead of the cap's
-        if capped and args.n >= closed_forms.FAMILY_MIN_N[family]:
-            n = closed_forms._vertex_count(family, args.n)
-            search._check_caps(n, args.max_n, search.DEFAULT_SEARCH_CAP)
-        g = _generate(args.family, args)
-        return g, f"{args.family}({args.n})"
+        c = _read_colouring(colouring_file)
+        g = closed_forms.checked_generate(args.family, args.n, args.max_n, c)
+        return g, f"{args.family}({args.n})", c
     if args.graph:
         g = gio.read_graph(args.graph, args.graph_format)
-        return g, args.graph
+        return g, args.graph, _read_colouring(colouring_file)
     raise ValueError("give a graph via --family/--n or --graph FILE")
 
 
@@ -153,22 +153,18 @@ def _report_record(g, descriptor: str, args) -> dict:
 
 
 def cmd_stats(args) -> int:
-    g, descriptor = _load_graph(args, capped=not args.colouring)
-    if args.colouring:
-        with open(args.colouring, encoding="utf-8") as fh:
-            c = gio.parse_colouring(fh.read())
-        record = _colouring_record(g, c, descriptor)
-    else:
-        record = _report_record(g, descriptor, args)
+    g, descriptor, c = _load_graph(args, args.colouring)
+    record = (_report_record(g, descriptor, args) if c is None
+              else _colouring_record(g, c, descriptor))
     if args.format == "csv":
-        _write_csv([record], sys.stdout)
+        gio.write_csv([record], sys.stdout)
     else:
         _dump_json(record, sys.stdout)
     return EXIT_OK
 
 
 def cmd_phi(args) -> int:
-    g, descriptor = _load_graph(args, capped=True)
+    g, descriptor, _ = _load_graph(args)
     phi = search.b_chromatic_number(g, max_n=args.max_n,
                                     allow_disconnected=args.allow_disconnected)
     if args.format == "json":
@@ -199,29 +195,6 @@ def _sweep_rows(family: str, ns, max_n) -> list[dict]:
     return rows
 
 
-def _write_csv(records: list[dict], out) -> None:
-    """A header row from the first record's keys, then one row per record.
-
-    Nested keys are joined with "." and lists are space-separated; csv
-    writes a Fraction as str() gives it (num/den, or num when den is 1) and
-    None as an empty cell.
-    """
-    def flatten(prefix, value, into):
-        if isinstance(value, dict):
-            for key, sub in value.items():
-                flatten(f"{prefix}.{key}" if prefix else key, sub, into)
-        elif isinstance(value, list):
-            into[prefix] = " ".join(map(str, value))
-        else:
-            into[prefix] = value
-        return into
-
-    rows = [flatten("", record, {}) for record in records]
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(rows[0].keys())
-    writer.writerows(row.values() for row in rows)
-
-
 def cmd_verify(args) -> int:
     ns = _parse_range(args.range)
     rows = _sweep_rows(args.family, ns, args.max_n)
@@ -236,7 +209,7 @@ def cmd_verify(args) -> int:
     record["status"] = ("regression" if record["regressions"]
                         else "cap-exceeded" if record["cap_errors"] else "ok")
     if args.format == "csv":
-        _write_csv(rows, sys.stdout)
+        gio.write_csv(rows, sys.stdout)
     else:
         _dump_json(record, sys.stdout)
     if record["regressions"]:
@@ -253,7 +226,7 @@ def cmd_sweep(args) -> int:
         _dump_json(_record("sweep", family=args.family, range=[ns.start, ns.stop - 1],
                            rows=rows), sys.stdout)
     else:
-        _write_csv(rows, sys.stdout)
+        gio.write_csv(rows, sys.stdout)
     return EXIT_OK
 
 

@@ -16,16 +16,17 @@ against a fresh exact search so a regression in either table is caught.
 
 from __future__ import annotations
 
-import csv
-import io
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from io import StringIO
 
 from . import graphs
 from .graphs import Graph
+from .io import write_csv
 from .search import DEFAULT_SEARCH_CAP, SearchCapError, _check_caps, full_report
+from .stats import Colouring, _check_cover
 
 
 class Family(str, Enum):
@@ -66,6 +67,22 @@ def _vertex_count(family: Family, n: int) -> int:
     if family is Family.WHEEL:
         return n + 1
     return 2 * n if family in (Family.SUNLET, Family.CLOSED_LADDER) else n
+
+
+def checked_generate(family, n: int, max_n: int | None = None,
+                     colouring: Colouring | None = None) -> Graph:
+    """generate(family, n), its vertex count checked before it is built:
+    against the colouring's length when one is given, else against the
+    search cap (max_n, default 32).  Below the family's least n nothing is
+    checked, so the generator's own error about n comes first."""
+    family = Family(family)
+    if n >= FAMILY_MIN_N[family]:
+        vertices = _vertex_count(family, n)
+        if colouring is None:
+            _check_caps(vertices, max_n, DEFAULT_SEARCH_CAP)
+        else:
+            _check_cover(vertices, colouring)
+    return generate(family, n)
 
 
 def _check_domain(family: Family, n: int) -> None:
@@ -237,12 +254,10 @@ def is_registered_erratum(family, n: int) -> bool:
 
 def errata_table_csv() -> str:
     """The errata registry as a CSV table."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["family", "applies_to", "printed", "corrected", "note"])
-    for rule in ERRATA_REGISTRY:
-        writer.writerow([rule.family.value, rule.applies_to, rule.printed,
-                         rule.corrected, rule.note])
+    buf = StringIO()
+    write_csv([{"family": rule.family.value, "applies_to": rule.applies_to,
+                "printed": rule.printed, "corrected": rule.corrected, "note": rule.note}
+               for rule in ERRATA_REGISTRY], buf)
     return buf.getvalue()
 
 
@@ -286,8 +301,7 @@ def sweep(family, ns, max_n: int | None = None) -> list[ClosedFormEntry]:
         pm, pv = printed_value(family, n)
         cm, cv, note = corrected_value(family, n)
         try:
-            _check_caps(_vertex_count(family, n), max_n, DEFAULT_SEARCH_CAP)
-            report = full_report(generate(family, n), max_n=max_n)
+            report = full_report(checked_generate(family, n, max_n), max_n=max_n)
             phi, sm, sv = report.phi, report.min_stats.mean, report.min_stats.variance
             error = ""
         except SearchCapError as exc:

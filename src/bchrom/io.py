@@ -11,10 +11,13 @@ Colouring files: first line is the declared colour count k, then one
 ``vertex colour`` line per vertex.
 
 Writers emit a canonical form (edges sorted, LF line endings) so that
-read/write round-trips are byte stable.
+read/write round-trips are byte stable.  ``write_csv`` is the one CSV
+emitter: every CSV table the package prints goes through it.
 """
 
 from __future__ import annotations
+
+import csv
 
 from .graphs import Graph, GraphError, build_graph
 from .stats import Colouring
@@ -151,3 +154,26 @@ def format_colouring(c: Colouring) -> str:
     lines = [str(c.k)]
     lines += [f"{v} {c.colour_of(v)}" for v in range(1, c.n + 1)]
     return "\n".join(lines) + "\n"
+
+
+def write_csv(records: list[dict], out) -> None:
+    """A header row from the first record's keys, then one row per record.
+
+    Nested keys are joined with "." and lists are space-separated; csv
+    writes a Fraction as str() gives it (num/den, or num when den is 1) and
+    None as an empty cell.
+    """
+    def flatten(prefix, value, into):
+        if isinstance(value, dict):
+            for key, sub in value.items():
+                flatten(f"{prefix}.{key}" if prefix else key, sub, into)
+        elif isinstance(value, list):
+            into[prefix] = " ".join(map(str, value))
+        else:
+            into[prefix] = value
+        return into
+
+    rows = [flatten("", record, {}) for record in records]
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(rows[0].keys())
+    writer.writerows(row.values() for row in rows)

@@ -12,9 +12,9 @@ Two independent routes are provided:
   scan and the realize step all run that one b-colouring search: chi is
   the least k with a b-colouring, because a proper colouring with chi
   colours is always a b-colouring (Irving & Manlove 1999).  The search
-  works on vertex bitmasks and prunes with four cuts (no b-vertex, empty
-  domain, cap unfillable, distinct b-vertices), each a condition every
-  completion must meet, so its answers are exact;
+  works on vertex bitmasks and prunes with three cuts (no b-vertex, cap
+  unfillable, distinct b-vertices), each a condition every completion
+  must meet, so its answers are exact;
 
 * the naive oracle (`enumerate_b_colourings`, `naive_b_chromatic_number`,
   `naive_extremal`), which walks every labelled colouring in lexicographic
@@ -131,7 +131,7 @@ def _phi(adj: list[int], order: list[int]) -> tuple[int, int]:
 
 def _distinct_representatives(sets: list[int]) -> bool:
     """True when every bitmask in sets can be given a bit of its own that
-    no other set is given, found by Kuhn's augmenting paths."""
+    no other set is given, found by augmenting paths."""
     # most calls are settled by taking each set's lowest untaken bit
     taken = 0
     for s in sets:
@@ -142,24 +142,18 @@ def _distinct_representatives(sets: list[int]) -> bool:
     else:
         return True
     owner: dict[int, int] = {}  # bit -> index of the set it represents
-    taken = seen = 0
+    seen = 0
 
     def augment(i: int) -> bool:
-        nonlocal taken, seen
-        free = sets[i] & ~taken
-        if free:
-            free &= -free
-            owner[free] = i
-            taken |= free
-            return True
+        # a set deeper on the path needs no bit of sets[i]: set i could
+        # take that bit itself, so all of them are marked seen at once
+        nonlocal seen
         rest = sets[i] & ~seen
+        seen |= sets[i]
         while rest:
             b = rest & -rest
             rest ^= b
-            if seen & b:
-                continue
-            seen |= b
-            if augment(owner[b]):
+            if b not in owner or augment(owner[b]):
                 owner[b] = i
                 return True
         return False
@@ -190,9 +184,8 @@ def _b_search(adj: list[int], k: int, caps: tuple[int, ...] | None,
     can still see colour d when it is in blocked[d] or is adjacent to a
     vertex that may still join d.  A b-vertex candidate of c is an eligible
     vertex (degree >= k - 1) that is in c or may still join it, and that
-    can still see every other colour.  A branch is cut when
+    can still see every other colour.  Three cuts drop a branch:
       * some class has no b-vertex candidate left;
-      * some uncoloured vertex may join no class (empty domain);
       * in capped mode, some class can no longer be filled to its cap;
       * the classes whose candidates are all uncoloured cannot be given
         distinct candidates (a class with a coloured candidate is settled;
@@ -207,8 +200,6 @@ def _b_search(adj: list[int], k: int, caps: tuple[int, ...] | None,
     n = len(adj)
     cap = [n] * k if caps is None else list(caps)
     eligible = sum(1 << v for v in range(n) if adj[v].bit_count() >= k - 1)
-    if eligible.bit_count() < k:
-        return None, 0
 
     size = [0] * k
     members = [0] * k
@@ -231,14 +222,12 @@ def _b_search(adj: list[int], k: int, caps: tuple[int, ...] | None,
     def feasible(free: int) -> bool:
         avail = []
         reach = []
-        union = 0
         for c in colours:
             r = blocked[c]
             if size[c] < cap[c]:
                 a = m = free & ~r
                 if caps is not None and size[c] + a.bit_count() < cap[c]:
                     return False
-                union |= a
                 for table in nbhd:
                     if not m:
                         break
@@ -248,8 +237,6 @@ def _b_search(adj: list[int], k: int, caps: tuple[int, ...] | None,
                 a = 0
             avail.append(a)
             reach.append(r)
-        if free & ~union:
-            return False
         # candidates of c: AND of reach[d] over d != c, as prefix & suffix
         suffix = [eligible] * k
         for d in range(k - 1, 0, -1):
@@ -428,11 +415,6 @@ def full_report(g: Graph, max_n: int | None = None,
 # Naive enumeration oracle
 # ---------------------------------------------------------------------------
 
-def _adj0(g: Graph) -> list[list[int]]:
-    """0-based sorted adjacency lists."""
-    return [sorted(w - 1 for w in g.adjacency[v]) for v in g.vertices()]
-
-
 def enumerate_b_colourings(g: Graph, k: int, max_n: int | None = None) -> Iterator[Colouring]:
     """Every labelled b-colouring of g with exactly k colours, exactly once,
     in lexicographic order of the assignment vector.
@@ -446,7 +428,7 @@ def enumerate_b_colourings(g: Graph, k: int, max_n: int | None = None) -> Iterat
     if k < 1:
         raise ValueError("colour count must be >= 1")
     n = g.n
-    adj = _adj0(g)
+    adj = [sorted(w - 1 for w in g.adjacency[v]) for v in g.vertices()]
     full = (1 << k) - 1
     col = [0] * n
     size = [0] * (k + 1)

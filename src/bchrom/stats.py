@@ -91,14 +91,14 @@ class ChromaStats:
     variance: Fraction
 
 
-def _check_cover(g: Graph, c: Colouring) -> None:
-    if c.n != g.n:
-        raise ColouringMismatchError(f"colouring covers {c.n} vertices, graph has {g.n}")
+def _check_cover(n: int, c: Colouring) -> None:
+    if c.n != n:
+        raise ColouringMismatchError(f"colouring covers {c.n} vertices, graph has {n}")
 
 
 def is_proper(g: Graph, c: Colouring) -> bool:
     """True iff no edge of g is monochromatic under c."""
-    _check_cover(g, c)
+    _check_cover(g.n, c)
     return all(c.colours[u - 1] != c.colours[v - 1] for u, v in g.edges)
 
 
@@ -108,7 +108,7 @@ def b_vertices(g: Graph, c: Colouring, colour: int) -> frozenset[int]:
     Diagnostic decomposition of the b-colouring condition: a class is
     b-valid iff this set is non-empty (vacuously so when k = 1).
     """
-    _check_cover(g, c)
+    _check_cover(g.n, c)
     if not (1 <= colour <= c.k):
         raise ValueError(f"colour {colour} outside 1..{c.k}")
     others = set(range(1, c.k + 1)) - {colour}
@@ -124,7 +124,7 @@ def b_vertices(g: Graph, c: Colouring, colour: int) -> frozenset[int]:
 
 def is_b_colouring(g: Graph, c: Colouring) -> bool:
     """Proper, uses every colour 1..k, and every class contains a b-vertex."""
-    _check_cover(g, c)
+    _check_cover(g.n, c)
     if not is_proper(g, c):
         return False
     strengths = c.strengths()
@@ -136,7 +136,7 @@ def is_b_colouring(g: Graph, c: Colouring) -> bool:
 def distribution(g: Graph, c: Colouring) -> ColourDistribution:
     """Exact p.m.f. induced by class sizes.  Defined for any assignment,
     proper or not; validity is checked separately so callers can compose."""
-    _check_cover(g, c)
+    _check_cover(g.n, c)
     strengths = c.strengths()
     pmf = tuple(Fraction(t, g.n) for t in strengths)
     return ColourDistribution(c.k, g.n, strengths, pmf)
@@ -165,5 +165,5 @@ def variance(d: ColourDistribution) -> Fraction:
 
 def colouring_stats(g: Graph, c: Colouring) -> ChromaStats:
     """Mean/variance of a colouring of g (any assignment)."""
-    _check_cover(g, c)
+    _check_cover(g.n, c)
     return stats_from_strengths(c.strengths())

@@ -217,6 +217,21 @@ def test_family_cap_checked_before_building(monkeypatch, tmp_path):
     assert code == 0 and json.loads(out)["b_colouring"] is True
 
 
+def test_colouring_length_checked_before_building(monkeypatch, tmp_path):
+    def no_build(n, edges):
+        raise AssertionError("built the graph")
+
+    target = tmp_path / "five.txt"
+    target.write_text("2\n1 1\n2 2\n3 1\n4 2\n5 1\n")
+    monkeypatch.setattr(b.graphs, "build_graph", no_build)
+    for family, n, vertices in [("complete", "3000", 3000), ("wheel", "5", 6),
+                                ("sunlet", "40", 80)]:
+        code, out, err = run_cli("stats", "--family", family, "--n", n,
+                                 "--colouring", str(target))
+        assert (code, out, err) == (
+            2, "", f"error: colouring covers 5 vertices, graph has {vertices}\n")
+
+
 def test_disconnected_gate_and_override(tmp_path):
     target = tmp_path / "two.col"
     target.write_text("p edge 4 2\ne 1 2\ne 3 4\n")

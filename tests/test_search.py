@@ -120,7 +120,8 @@ def test_no_b_colouring_raises():
         b.min_mean_b_colouring(b.cycle(4), 3)
     with pytest.raises(NoBColouringError):
         b.max_mean_b_colouring(b.path(4), 3)
-    # k above m_degree: the search returns before exploring a node
+    # k above m_degree: fewer than k vertices can be b-vertices, so the
+    # capped search refutes every size vector
     with pytest.raises(NoBColouringError):
         b.min_mean_b_colouring(b.path(5), 4)
     # k > n: there is no candidate size vector at all
@@ -255,3 +256,49 @@ def test_b_search_is_exact_against_the_oracle():
                     assert caps is None or colouring.strengths() == caps, where
                 checks += 1
     assert checks > 800
+
+
+def _has_distinct_representatives(sets):
+    """Hall's condition by brute force: every j of the sets together hold
+    at least j bits."""
+    for chosen in range(1, 1 << len(sets)):
+        union = 0
+        for i, s in enumerate(sets):
+            if chosen >> i & 1:
+                union |= s
+        if union.bit_count() < chosen.bit_count():
+            return False
+    return True
+
+
+def test_distinct_representatives_matches_hall():
+    rng = random.Random(20261018)
+    greedy_misses = 0
+    for _ in range(4000):
+        bits = rng.randint(1, 8)
+        density = rng.random()
+        sets = [sum(1 << i for i in range(bits) if rng.random() < density)
+                for _ in range(rng.randint(1, 7))]
+        expected = _has_distinct_representatives(sets)
+        assert search._distinct_representatives(sets) == expected, sets
+        taken = 0
+        for s in sets:
+            free = s & ~taken
+            taken |= free & -free
+        greedy_misses += expected and taken.bit_count() < len(sets)
+    # the lowest-free-bit pass alone misses a matching on some of these,
+    # so they reach the augmenting paths
+    assert greedy_misses > 50
+
+
+def test_free_search_above_m_degree_refutes_at_the_first_node():
+    # fewer than k vertices have degree >= k - 1: the first vertex can only
+    # open class 1, and that node fails the cuts
+    checks = 0
+    for _, g in _small_graphs(max_vertices=12, draws=40):
+        adj, order = search._prepare(g, None, False)
+        for k in range(m_degree(g) + 1, g.n + 1):
+            assert search._b_search(adj, k, None, order) == (None, 1), (g, k)
+            checks += 1
+    assert checks > 200
+
