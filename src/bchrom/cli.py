@@ -32,6 +32,7 @@ GEN_CHOICES = FAMILY_CHOICES + ["complete-bipartite", "random"]
 
 # first match wins; every malformed-input error is a ValueError
 _EXIT_CODES = {search.SearchCapError: EXIT_CAP, OSError: EXIT_IO, ValueError: EXIT_USAGE}
+_VERIFY_EXIT_CODES = {"ok": EXIT_OK, "cap-exceeded": EXIT_CAP, "regression": EXIT_REGRESSION}
 
 
 def _rat(x) -> dict:
@@ -212,11 +213,7 @@ def cmd_verify(args) -> int:
         gio.write_csv(rows, sys.stdout)
     else:
         _dump_json(record, sys.stdout)
-    if record["regressions"]:
-        return EXIT_REGRESSION
-    if record["cap_errors"]:
-        return EXIT_CAP
-    return EXIT_OK
+    return _VERIFY_EXIT_CODES[record["status"]]
 
 
 def cmd_sweep(args) -> int:
@@ -242,7 +239,7 @@ def _add_graph_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph-format", choices=gio.GRAPH_FORMATS, default="edgelist",
                    help="file format of --graph (default: edgelist)")
     p.add_argument("--max-n", type=int, default=None,
-                   help="override the search size cap (default 32)")
+                   help=f"override the search size cap (default {search.DEFAULT_SEARCH_CAP})")
     p.add_argument("--allow-disconnected", action="store_true",
                    help="permit statistics on disconnected graphs")
 

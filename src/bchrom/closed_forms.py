@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from io import StringIO
+from typing import NamedTuple
 
 from . import graphs
 from .graphs import Graph
@@ -38,35 +39,24 @@ class Family(str, Enum):
     CLOSED_LADDER = "closed-ladder"
 
 
-# smallest n for which the printed tables define a value
-FAMILY_MIN_N = {
-    Family.PATH: 2,
-    Family.CYCLE: 3,
-    Family.COMPLETE: 1,
-    Family.WHEEL: 3,       # rim size; the graph has n+1 vertices
-    Family.SUNLET: 3,
-    Family.CLOSED_LADDER: 3,
-}
+class _FamilySpec(NamedTuple):
+    generator: Callable[[int], Graph]
+    min_n: int                      # least n the printed tables define
+    vertices: Callable[[int], int]  # vertex count of generator(n), unbuilt
 
-_GENERATORS = {
-    Family.PATH: graphs.path,
-    Family.CYCLE: graphs.cycle,
-    Family.COMPLETE: graphs.complete,
-    Family.WHEEL: graphs.wheel,
-    Family.SUNLET: graphs.sunlet,
-    Family.CLOSED_LADDER: graphs.closed_ladder,
+
+_FAMILIES = {
+    Family.PATH: _FamilySpec(graphs.path, 2, lambda n: n),
+    Family.CYCLE: _FamilySpec(graphs.cycle, 3, lambda n: n),
+    Family.COMPLETE: _FamilySpec(graphs.complete, 1, lambda n: n),
+    Family.WHEEL: _FamilySpec(graphs.wheel, 3, lambda n: n + 1),  # n is the rim size
+    Family.SUNLET: _FamilySpec(graphs.sunlet, 3, lambda n: 2 * n),
+    Family.CLOSED_LADDER: _FamilySpec(graphs.closed_ladder, 3, lambda n: 2 * n),
 }
 
 
 def generate(family: Family, n: int) -> Graph:
-    return _GENERATORS[Family(family)](n)
-
-
-def _vertex_count(family: Family, n: int) -> int:
-    """Vertices of generate(family, n), known without building the graph."""
-    if family is Family.WHEEL:
-        return n + 1
-    return 2 * n if family in (Family.SUNLET, Family.CLOSED_LADDER) else n
+    return _FAMILIES[Family(family)].generator(n)
 
 
 def checked_generate(family, n: int, max_n: int | None = None,
@@ -75,18 +65,18 @@ def checked_generate(family, n: int, max_n: int | None = None,
     against the colouring's length when one is given, else against the
     search cap (max_n, default 32).  Below the family's least n nothing is
     checked, so the generator's own error about n comes first."""
-    family = Family(family)
-    if n >= FAMILY_MIN_N[family]:
-        vertices = _vertex_count(family, n)
+    spec = _FAMILIES[Family(family)]
+    if n >= spec.min_n:
+        vertices = spec.vertices(n)
         if colouring is None:
             _check_caps(vertices, max_n, DEFAULT_SEARCH_CAP)
         else:
             _check_cover(vertices, colouring)
-    return generate(family, n)
+    return spec.generator(n)
 
 
 def _check_domain(family: Family, n: int) -> None:
-    lo = FAMILY_MIN_N[family]
+    lo = _FAMILIES[family].min_n
     if n < lo:
         raise ValueError(f"{family.value} closed forms require n >= {lo}, got {n}")
 
@@ -158,9 +148,6 @@ class ErratumRule:
     note: str
     condition: Callable[[int], bool] = field(repr=False, compare=False)
     value: Callable[[int], tuple[Fraction, Fraction]] = field(repr=False, compare=False)
-
-    def matches(self, n: int) -> bool:
-        return self.condition(n)
 
 
 ERRATA_REGISTRY: tuple[ErratumRule, ...] = (
@@ -234,7 +221,7 @@ ERRATA_REGISTRY: tuple[ErratumRule, ...] = (
 def _erratum(family: Family, n: int) -> ErratumRule | None:
     """The first registered rule of this family that covers n, if any."""
     return next((rule for rule in ERRATA_REGISTRY
-                 if rule.family is family and rule.matches(n)), None)
+                 if rule.family is family and rule.condition(n)), None)
 
 
 def corrected_value(family, n: int) -> tuple[Fraction, Fraction, str]:
@@ -274,9 +261,14 @@ class ClosedFormEntry:
     search_phi: int | None
     search_mean: Fraction | None
     search_variance: Fraction | None
-    errata: bool
     note: str
     error: str = ""
+
+    @property
+    def errata(self) -> bool:
+        """The printed and corrected values differ."""
+        return (self.printed_mean != self.corrected_mean
+                or self.printed_variance != self.corrected_variance)
 
     @property
     def consistent(self) -> bool:
@@ -287,9 +279,7 @@ class ClosedFormEntry:
         if (self.search_mean != self.corrected_mean
                 or self.search_variance != self.corrected_variance):
             return False
-        differs = (self.printed_mean != self.corrected_mean
-                   or self.printed_variance != self.corrected_variance)
-        return differs == self.errata == is_registered_erratum(self.family, self.n)
+        return self.errata == is_registered_erratum(self.family, self.n)
 
 
 def sweep(family, ns, max_n: int | None = None) -> list[ClosedFormEntry]:
@@ -312,5 +302,5 @@ def sweep(family, ns, max_n: int | None = None) -> list[ClosedFormEntry]:
             printed_mean=pm, printed_variance=pv,
             corrected_mean=cm, corrected_variance=cv,
             search_phi=phi, search_mean=sm, search_variance=sv,
-            errata=(pm != cm or pv != cv), note=note, error=error))
+            note=note, error=error))
     return entries

@@ -57,9 +57,6 @@ class Graph:
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
-    def neighbours(self, v: int) -> frozenset[int]:
-        return self.adjacency[v]
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -186,13 +183,16 @@ def closed_ladder(n: int) -> Graph:
     return cartesian_product(cycle(n), path(2))
 
 
-def random_connected_graph(n: int, rng: random.Random, p: float = 0.5, max_tries: int = 10_000) -> Graph:
+_MAX_TRIES = 10_000
+
+
+def random_connected_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
     """Erdos-Renyi G(n, p) resampled until connected; deterministic given rng state."""
     if n < 1:
         raise GraphError("random graph requires n >= 1")
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p]
         g = build_graph(n, edges)
         if g.connected:
             return g
-    raise GraphError(f"no connected sample after {max_tries} tries (n={n}, p={p})")
+    raise GraphError(f"no connected sample after {_MAX_TRIES} tries (n={n}, p={p})")

@@ -38,7 +38,7 @@ def _int_pair(parts: list[str], where: str) -> tuple[int, int]:
         raise FormatError(f"{where}: expected two integers, got {parts!r}") from exc
 
 
-def parse_dimacs(text: str) -> Graph:
+def _parse_dimacs(text: str) -> tuple[int, list[tuple[int, int]]]:
     n = m = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -63,32 +63,30 @@ def parse_dimacs(text: str) -> Graph:
         raise FormatError("missing 'p edge' problem line")
     if len(edges) != m:
         raise FormatError(f"header declares {m} edges, file has {len(edges)}")
-    try:
-        return build_graph(n, edges)
-    except GraphError as exc:
-        raise FormatError(str(exc)) from exc
+    return n, edges
 
 
-def parse_edgelist(text: str) -> Graph:
+def _parse_edgelist(text: str) -> tuple[int, list[tuple[int, int]]]:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise FormatError("empty edge-list input")
     n, m = _int_pair(lines[0].split(), "line 1")
     if len(lines) - 1 != m:
         raise FormatError(f"header declares {m} edges, file has {len(lines) - 1}")
-    edges = [_int_pair(ln.split(), f"line {i}") for i, ln in enumerate(lines[1:], start=2)]
-    try:
-        return build_graph(n, edges)
-    except GraphError as exc:
-        raise FormatError(str(exc)) from exc
+    return n, [_int_pair(ln.split(), f"line {i}") for i, ln in enumerate(lines[1:], start=2)]
 
 
 def parse_graph(text: str, fmt: str) -> Graph:
     if fmt == "dimacs":
-        return parse_dimacs(text)
-    if fmt == "edgelist":
-        return parse_edgelist(text)
-    raise ValueError(f"unknown graph format {fmt!r}")
+        n, edges = _parse_dimacs(text)
+    elif fmt == "edgelist":
+        n, edges = _parse_edgelist(text)
+    else:
+        raise ValueError(f"unknown graph format {fmt!r}")
+    try:
+        return build_graph(n, edges)
+    except GraphError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def format_graph(g: Graph, fmt: str) -> str:

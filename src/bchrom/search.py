@@ -68,6 +68,8 @@ class SearchReport:
 
 def _check_caps(n: int, max_n: int | None, default: int) -> None:
     cap = default if max_n is None else max_n
+    if cap < 1:
+        raise ValueError(f"vertex cap must be >= 1, got {cap}")
     if n > cap:
         raise SearchCapError(f"graph has {n} vertices, cap is {cap}")
 
@@ -123,10 +125,9 @@ def _chi(adj: list[int], order: list[int]) -> tuple[int, int]:
     return _first_k(adj, order, range(1, len(adj) + 1))
 
 
-def _phi(adj: list[int], order: list[int]) -> tuple[int, int]:
-    """(b-chromatic number, nodes): k from max_degree + 1 downward."""
-    top = max((a.bit_count() for a in adj), default=0) + 1
-    return _first_k(adj, order, range(min(top, len(adj)), 0, -1))
+def _phi(g: Graph, adj: list[int], order: list[int]) -> tuple[int, int]:
+    """(b-chromatic number, nodes): k from m_degree(g) downward."""
+    return _first_k(adj, order, range(m_degree(g), 0, -1))
 
 
 def _distinct_representatives(sets: list[int]) -> bool:
@@ -369,8 +370,8 @@ def chromatic_number(g: Graph, max_n: int | None = None,
 
 def b_chromatic_number(g: Graph, max_n: int | None = None,
                        allow_disconnected: bool = False) -> int:
-    """Exact b-chromatic number, testing k from max_degree + 1 downward."""
-    return _phi(*_prepare(g, max_n, allow_disconnected))[0]
+    """Exact b-chromatic number, testing k from m_degree(g) downward."""
+    return _phi(g, *_prepare(g, max_n, allow_disconnected))[0]
 
 
 def min_mean_b_colouring(g: Graph, k: int, max_n: int | None = None,
@@ -399,7 +400,7 @@ def full_report(g: Graph, max_n: int | None = None,
         warnings.warn("trivial graph: statistics are degenerate", stacklevel=2)
     t0 = time.perf_counter()
     chi, chi_nodes = _chi(adj, order)
-    phi, phi_nodes = _phi(adj, order)
+    phi, phi_nodes = _phi(g, adj, order)
     min_sizes, max_sizes, scan_nodes = _extremal_sizes(adj, order, phi)
     min_col, min_stats, min_nodes = _realize(adj, phi, min_sizes)
     max_col, max_stats, max_nodes = _realize(adj, phi, max_sizes)

@@ -191,6 +191,14 @@ def test_exit_code_search_cap():
     assert code == 0
 
 
+def test_cap_below_one_is_usage_error():
+    for argv in (("phi", "--family", "path", "--n", "3", "--max-n", "0"),
+                 ("verify", "--family", "path", "--range", "2..4", "--max-n", "0")):
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_family_cap_checked_before_building(monkeypatch, tmp_path):
     real = b.graphs.build_graph
 

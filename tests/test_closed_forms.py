@@ -4,15 +4,14 @@ import pytest
 
 import bchrom as b
 from bchrom.closed_forms import (
+    _FAMILIES,
     ERRATA_REGISTRY,
-    FAMILY_MIN_N,
     ClosedFormEntry,
     Family,
     corrected_value,
     errata_table_csv,
     generate,
     is_registered_erratum,
-    _vertex_count,
     printed_value,
     sweep,
 )
@@ -116,8 +115,9 @@ def test_sweep_checks_cap_before_building(monkeypatch):
 
 @pytest.mark.parametrize("family", list(Family))
 def test_vertex_count_matches_generate(family):
-    for n in range(FAMILY_MIN_N[family], 13):
-        assert _vertex_count(family, n) == generate(family, n).n
+    spec = _FAMILIES[family]
+    for n in range(spec.min_n, 13):
+        assert spec.vertices(n) == generate(family, n).n
 
 
 def test_registry_and_csv():
@@ -135,8 +135,8 @@ def test_registry_and_csv():
     used = set()
     for family in Family:
         rules = [r for r in ERRATA_REGISTRY if r.family is family]
-        for n in range(FAMILY_MIN_N[family], 65):
-            hits = [r for r in rules if r.matches(n)]
+        for n in range(_FAMILIES[family].min_n, 65):
+            hits = [r for r in rules if r.condition(n)]
             assert len(hits) <= 1, (family, n, [r.applies_to for r in hits])
             used.update(hits)
     assert used == set(ERRATA_REGISTRY)
@@ -148,7 +148,7 @@ def test_entry_consistency_flags_search_disagreement():
         printed_mean=F(9, 5), printed_variance=F(14, 25),
         corrected_mean=F(9, 5), corrected_variance=F(14, 25),
         search_phi=3, search_mean=F(2), search_variance=F(14, 25),
-        errata=False, note="")
+        note="")
     assert not entry.consistent
 
 

@@ -75,7 +75,12 @@ def test_malformed_dimacs(text):
         b.parse_graph(text, "dimacs")
 
 
-@pytest.mark.parametrize("text", ["", "2\n1 2\n", "2 1\n1 2\n2 1\n", "2 1\nx y\n"])
+@pytest.mark.parametrize("text", [
+    "", "2\n1 2\n", "2 1\n1 2\n2 1\n", "2 1\nx y\n",
+    "2 1\n1 1\n",   # self-loop
+    "2 1\n1 3\n",   # endpoint out of range
+    "0 0\n",        # zero vertex count
+])
 def test_malformed_edgelist(text):
     with pytest.raises(FormatError):
         b.parse_graph(text, "edgelist")

@@ -5,7 +5,7 @@ import pytest
 
 import bchrom as b
 from bchrom import search
-from bchrom.closed_forms import Family, generate
+from bchrom.closed_forms import Family, generate, sweep
 from bchrom.search import (
     DisconnectedGraphError,
     NoBColouringError,
@@ -302,3 +302,33 @@ def test_free_search_above_m_degree_refutes_at_the_first_node():
             checks += 1
     assert checks > 200
 
+
+
+def test_phi_search_tries_no_k_above_m_degree(monkeypatch):
+    # the first random-gnp benchmark draw at n = 16
+    rng = random.Random(16)
+    p = rng.uniform(0.2, 0.35)
+    gnp = b.random_connected_graph(16, rng, p)
+    real = search._b_search
+    tried = []
+
+    def recording(adj, k, caps, order):
+        tried.append(k)
+        return real(adj, k, caps, order)
+
+    monkeypatch.setattr(search, "_b_search", recording)
+    for g in (b.wheel(10), b.wheel(30), gnp):
+        tried.clear()
+        b.b_chromatic_number(g)
+        b.full_report(g)
+        assert tried and max(tried) <= m_degree(g), (g.n, sorted(set(tried)))
+
+
+def test_cap_below_one_is_malformed():
+    g = b.path(3)
+    for call in (b.chromatic_number, b.b_chromatic_number, b.full_report,
+                 b.naive_b_chromatic_number):
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            call(g, max_n=0)
+    with pytest.raises(ValueError, match="cap must be >= 1"):
+        sweep(Family.PATH, range(2, 5), max_n=-1)
