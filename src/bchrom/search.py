@@ -7,8 +7,10 @@ Two independent routes are provided:
   pass ranks candidate class-size vectors by (mean, variance) and settles
   each one with a capped backtracking feasibility search; the first group
   with an achievable vector gives the class sizes of both the minimum-
-  and the maximum-mean b-colouring.  A realize step then finds the
-  lexicographically smallest assignment with those sizes.  chi, phi, the
+  and the maximum-mean b-colouring, and a witness colouring for each.  A
+  realize step then turns each witness into the lexicographically
+  smallest assignment with its sizes, fixing one vertex at a time to the
+  smallest colour the capped search can still complete.  chi, phi, the
   scan and the realize step all run that one b-colouring search: chi is
   the least k with a b-colouring, because a proper colouring with chi
   colours is always a b-colouring (Irving & Manlove 1999).  The search
@@ -29,9 +31,10 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .graphs import Graph
 from .stats import ChromaStats, Colouring, stats_from_strengths
@@ -166,18 +169,36 @@ def _distinct_representatives(sets: list[int]) -> bool:
     return True
 
 
+@lru_cache(maxsize=8)
+def _nbhd_tables(adj: tuple[int, ...]) -> tuple[list[int], ...]:
+    """nbhd[j][m]: the neighbourhood of the vertex set m << 8j, so N(S) is a
+    few table lookups, one per byte of S.  Cached per graph: the realize
+    step makes many short searches, most refuted at their first node."""
+    nbhd = []
+    for base in range(0, len(adj), 8):
+        table = [0]
+        for u in range(base, min(base + 8, len(adj))):
+            table += [m | adj[u] for m in table]
+        nbhd.append(table)
+    return tuple(nbhd)
+
+
 def _b_search(adj: list[int], k: int, caps: tuple[int, ...] | None,
-              order: list[int]) -> tuple[list[int] | None, int]:
+              order: list[int], prefix: Sequence[int] = ()) -> tuple[list[int] | None, int]:
     """First b-colouring with exactly k colours found by depth-first search.
 
     adj holds neighbour bitmasks.  caps fixes each colour class size
     exactly (caps[i] is the size of class i+1, and sum(caps) must equal n);
     None leaves sizes free.  caps must be monotone (non-increasing or
-    non-decreasing), so that labels with equal caps are adjacent.  Vertices
-    are coloured in `order`, colours are tried in ascending label order, and
-    labels with equal caps may only open in label order, so with the
-    identity vertex order the first solution is the lexicographically
-    smallest assignment in its symmetry class.
+    non-decreasing), so that labels with equal caps are adjacent.  prefix
+    fixes the colours of vertices 0..len(prefix)-1: they are the starting
+    state, checked by one feasibility test (one node), and only
+    completions of it are searched.  The other vertices are coloured in
+    `order` and take colours in ascending label order; of two labels with
+    equal caps that are both still empty, only the lower may open, since
+    swapping them maps any completion onto another.  So with the identity
+    vertex order the first solution is the lexicographically smallest
+    completion.
 
     The state is colour-major: per class c, the vertex mask members[c] and
     blocked[c], the vertices adjacent to class c.  A vertex may still join c
@@ -194,30 +215,20 @@ def _b_search(adj: list[int], k: int, caps: tuple[int, ...] | None,
     Every cut is a condition that each completion meets, optimistic about
     uncoloured vertices, so it prunes only subtrees without a solution:
     refutations are exact and the first solution is the one an uncut
-    search would find.  Each branch saves blocked[c] and restores it on the
-    way back (members[c] and size[c] are undone in step), so every mask is
-    as it was before the branch.
+    search would find.  The search is a loop over an explicit stack, so
+    its depth is not bounded by Python's recursion limit: depth i keeps
+    the colour its vertex holds and the blocked mask of that colour from
+    before the vertex joined it, and undoes both on the way back.
     """
     n = len(adj)
     cap = [n] * k if caps is None else list(caps)
     eligible = sum(1 << v for v in range(n) if adj[v].bit_count() >= k - 1)
+    nbhd = _nbhd_tables(tuple(adj))
 
     size = [0] * k
     members = [0] * k
     blocked = [0] * k
     colours = range(k)
-    # uncoloured[i]: the vertices left uncoloured once order[:i] is coloured
-    uncoloured = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        uncoloured[i] = uncoloured[i + 1] | 1 << order[i]
-    # nbhd[j][m]: the neighbourhood of the vertex set m << 8j, so N(S) is a
-    # few table lookups, one per byte of S
-    nbhd = []
-    for base in range(0, n, 8):
-        table = [0]
-        for u in range(base, min(base + 8, n)):
-            table += [m | adj[u] for m in table]
-        nbhd.append(table)
     nodes = 0
 
     def feasible(free: int) -> bool:
@@ -238,51 +249,76 @@ def _b_search(adj: list[int], k: int, caps: tuple[int, ...] | None,
                 a = 0
             avail.append(a)
             reach.append(r)
-        # candidates of c: AND of reach[d] over d != c, as prefix & suffix
-        suffix = [eligible] * k
+        # candidates of c: AND of reach[d] over d != c, as the AND over
+        # d < c (below) and the AND over d > c (above[c])
+        above = [eligible] * k
         for d in range(k - 1, 0, -1):
-            suffix[d - 1] = suffix[d] & reach[d]
-        prefix = eligible
+            above[d - 1] = above[d] & reach[d]
+        below = eligible
         unsettled = []
         for c in colours:
-            cand = (members[c] | avail[c]) & prefix & suffix[c]
+            cand = (members[c] | avail[c]) & below & above[c]
             if not cand:
                 return False
             if not cand & members[c]:
                 unsettled.append(cand)
-            prefix &= reach[c]
+            below &= reach[c]
         return len(unsettled) < 2 or _distinct_representatives(unsettled)
 
-    def rec(idx: int) -> bool:
-        nonlocal nodes
-        if idx == n:
-            return True
-        v = order[idx]
-        vbit = 1 << v
-        free = uncoloured[idx + 1]
-        for c in colours:
-            if blocked[c] & vbit or size[c] == cap[c]:
-                continue
-            if c and cap[c - 1] == cap[c] and size[c - 1] == 0:
-                continue
-            size[c] += 1
-            members[c] |= vbit
-            saved = blocked[c]
-            blocked[c] |= adj[v]
-            nodes += 1
-            if feasible(free) and rec(idx + 1):
-                return True
-            blocked[c] = saved
-            members[c] ^= vbit
-            size[c] -= 1
-        return False
+    # the prefix is the starting state; an improper or overfull one has
+    # no completion
+    for v, c in enumerate(prefix):
+        c -= 1
+        if blocked[c] >> v & 1 or size[c] == cap[c]:
+            return None, 0
+        size[c] += 1
+        members[c] |= 1 << v
+        blocked[c] |= adj[v]
+    rest = [v for v in order if v >= len(prefix)]
+    m = len(rest)
+    # uncoloured[i]: the vertices left uncoloured once rest[:i] is coloured
+    uncoloured = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        uncoloured[i] = uncoloured[i + 1] | 1 << rest[i]
+    if prefix:
+        nodes += 1
+        if not feasible(uncoloured[0]):
+            return None, nodes
 
-    found = rec(0)
-    # rec reaches itself through its closure cell; clearing the cell frees
-    # the tables now rather than at the next cyclic garbage collection
-    del rec
-    if not found:
-        return None, nodes
+    held = [0] * m   # held[i]: the colour rest[i] holds
+    saved = [0] * m  # saved[i]: blocked[held[i]] before rest[i] joined it
+    i = c = 0        # the depth, and the next colour to try there
+    while i < m:
+        v = rest[i]
+        vbit = 1 << v
+        free = uncoloured[i + 1]
+        while c < k:
+            if not (blocked[c] & vbit or size[c] == cap[c]
+                    or c and cap[c - 1] == cap[c] and not size[c - 1] and not size[c]):
+                size[c] += 1
+                members[c] |= vbit
+                saved[i] = blocked[c]
+                blocked[c] |= adj[v]
+                nodes += 1
+                if feasible(free):
+                    break
+                blocked[c] = saved[i]
+                members[c] ^= vbit
+                size[c] -= 1
+            c += 1
+        if c < k:
+            held[i] = c
+            i += 1
+            c = 0
+        elif i:
+            i -= 1
+            c = held[i]
+            blocked[c] = saved[i]
+            members[c] ^= 1 << rest[i]
+            size[c] -= 1
+            c += 1
+        else:
+            return None, nodes
     return [next(c + 1 for c in colours if members[c] >> v & 1) for v in range(n)], nodes
 
 
@@ -324,17 +360,20 @@ def _partitions_desc(total: int, parts: int, largest: int) -> list[tuple[int, ..
     return out
 
 
-def _extremal_sizes(adj: list[int], order: list[int],
-                    k: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """(min_sizes, max_sizes, nodes): the class sizes by label of the
-    minimum- and maximum-mean b-colourings with exactly k colours.
+def _extremal_witnesses(adj: list[int], order: list[int],
+                        k: int) -> tuple[list[int], list[int], int]:
+    """(min_witness, max_witness, nodes): b-colourings with exactly k
+    colours whose class sizes by label are those of the minimum- and the
+    maximum-mean b-colourings.
 
     Candidate size vectors are ranked by (mean, variance) with descending
     labels, and each one in the first group of equal statistics is tested
-    with the capped search.  A size multiset maximises the mean (ascending
-    labels) exactly when it minimises it (descending labels): reversing
-    labels maps one optimum onto the other.  So one pass serves both ends,
-    which differ only in the strength-vector tie-break among the hits.
+    with the capped search, which keeps the colouring of each hit.  A size
+    multiset maximises the mean (ascending labels) exactly when it
+    minimises it (descending labels): reversing labels maps one optimum
+    onto the other.  So one pass serves both ends, which differ only in
+    the strength-vector tie-break among the hits; the max end's witness is
+    its hit with each colour c relabelled k + 1 - c.
     """
     if k < 1:
         raise ValueError("colour count must be >= 1")
@@ -347,19 +386,44 @@ def _extremal_sizes(adj: list[int], order: list[int],
             assignment, explored = _b_search(adj, k, theta, order)
             nodes += explored
             if assignment is not None:
-                hits.append(theta)
+                hits.append((theta, assignment))
         if hits:
-            return min(hits), min(t[::-1] for t in hits), nodes
+            low = min(hits, key=itemgetter(0))[1]
+            high = min(hits, key=lambda hit: hit[0][::-1])[1]
+            return low, [k + 1 - c for c in high], nodes
     raise NoBColouringError(f"no b-colouring of this graph uses exactly {k} colours")
 
 
-def _realize(adj: list[int], k: int,
-             caps: tuple[int, ...]) -> tuple[Colouring, ChromaStats, int]:
+def _realize(adj: list[int], order: list[int], k: int,
+             witness: list[int]) -> tuple[Colouring, ChromaStats, int]:
     """(colouring, stats, nodes): the lexicographically smallest b-colouring
-    whose class sizes by label are caps, from the identity-order search."""
-    assignment, nodes = _b_search(adj, k, caps, list(range(len(adj))))
-    assert assignment is not None, "achievable size vector must realize"
-    return Colouring(k, tuple(assignment)), stats_from_strengths(caps), nodes
+    with the class sizes of witness, itself a b-colouring with k colours.
+
+    Prefix fixing: with vertices 0..v-1 fixed, vertex v tries each colour
+    below the witness's colour at v in ascending order, and the first one
+    that the capped search (in `order`) completes gives the new witness.
+    If none does, v keeps the witness's colour, which the witness itself
+    completes.  A colour is skipped without a search when a fixed neighbour
+    of v has it, when its class is full, or when it and the label below it
+    are both unused and have equal sizes: swapping the two labels maps any
+    completion onto one with the lower label, which was tried first.
+    """
+    caps = Colouring(k, tuple(witness)).strengths()
+    size = [0] * (k + 1)  # size[c]: fixed vertices of colour c
+    nodes = 0
+    for v in range(len(adj)):
+        taken = {witness[u] for u in range(v) if adj[v] >> u & 1}
+        for c in range(1, witness[v]):
+            if (c in taken or size[c] == caps[c - 1]
+                    or c > 1 and caps[c - 2] == caps[c - 1] and not size[c - 1] and not size[c]):
+                continue
+            found, explored = _b_search(adj, k, caps, order, witness[:v] + [c])
+            nodes += explored
+            if found is not None:
+                witness = found
+                break
+        size[witness[v]] += 1
+    return Colouring(k, tuple(witness)), stats_from_strengths(caps), nodes
 
 
 def chromatic_number(g: Graph, max_n: int | None = None,
@@ -382,14 +446,14 @@ def min_mean_b_colouring(g: Graph, k: int, max_n: int | None = None,
     strength vector, then lexicographically smallest assignment.
     """
     adj, order = _prepare(g, max_n, allow_disconnected)
-    return _realize(adj, k, _extremal_sizes(adj, order, k)[0])[:2]
+    return _realize(adj, order, k, _extremal_witnesses(adj, order, k)[0])[:2]
 
 
 def max_mean_b_colouring(g: Graph, k: int, max_n: int | None = None,
                          allow_disconnected: bool = False) -> tuple[Colouring, ChromaStats]:
     """Mean-maximising mirror of min_mean_b_colouring (same tie-break order)."""
     adj, order = _prepare(g, max_n, allow_disconnected)
-    return _realize(adj, k, _extremal_sizes(adj, order, k)[1])[:2]
+    return _realize(adj, order, k, _extremal_witnesses(adj, order, k)[1])[:2]
 
 
 def full_report(g: Graph, max_n: int | None = None,
@@ -401,9 +465,9 @@ def full_report(g: Graph, max_n: int | None = None,
     t0 = time.perf_counter()
     chi, chi_nodes = _chi(adj, order)
     phi, phi_nodes = _phi(g, adj, order)
-    min_sizes, max_sizes, scan_nodes = _extremal_sizes(adj, order, phi)
-    min_col, min_stats, min_nodes = _realize(adj, phi, min_sizes)
-    max_col, max_stats, max_nodes = _realize(adj, phi, max_sizes)
+    min_witness, max_witness, scan_nodes = _extremal_witnesses(adj, order, phi)
+    min_col, min_stats, min_nodes = _realize(adj, order, phi, min_witness)
+    max_col, max_stats, max_nodes = _realize(adj, order, phi, max_witness)
     return SearchReport(chi=chi, phi=phi,
                         min_colouring=min_col, min_stats=min_stats,
                         max_colouring=max_col, max_stats=max_stats,

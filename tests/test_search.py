@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -103,7 +104,7 @@ def test_extremal_tie_break_on_strength_vector(monkeypatch):
     # (9,5,5,1) and (8,8,2,2) share mean 19/10 and variance 89/100 at
     # n = 20, the first tie between non-increasing size vectors; a fake
     # search admits only those two, so the tie-break alone picks the sizes
-    def fake_search(adj, k, caps, order):
+    def fake_search(adj, k, caps, order, prefix=()):
         if tuple(sorted(caps, reverse=True)) not in {(9, 5, 5, 1), (8, 8, 2, 2)}:
             return None, 1
         return [c for c, size in enumerate(caps, start=1) for _ in range(size)], 1
@@ -258,6 +259,66 @@ def test_b_search_is_exact_against_the_oracle():
     assert checks > 800
 
 
+def test_prefix_search_is_exact_against_the_oracle():
+    # every prefix of one or two colours, proper or not, in free mode and
+    # for every size vector in both orientations: the identity-order search
+    # finds the lexicographically smallest b-colouring the oracle lists
+    # with that prefix, and the degree-order search finds a completion of
+    # the prefix exactly when the oracle lists one
+    checks = 0
+    for label, g in _small_graphs():
+        adj, degree_order = search._prepare(g, None, False)
+        identity = list(range(g.n))
+        for k in range(1, g.n + 1):
+            # (sizes or None, prefix) -> first colouring listed; above
+            # m_degree the oracle lists none, so its walk is skipped
+            first = {}
+            for c in b.enumerate_b_colourings(g, k) if k <= m_degree(g) else ():
+                for j in (1, 2):
+                    for caps in (None, c.strengths()):
+                        first.setdefault((caps, c.colours[:j]), c.colours)
+            thetas = {t for theta in search._partitions_desc(g.n, k, g.n)
+                      for t in (theta, theta[::-1])}
+            prefixes = [p for j in range(1, min(2, g.n) + 1)
+                        for p in product(range(1, k + 1), repeat=j)]
+            for caps in [None] + sorted(thetas):
+                for prefix in prefixes:
+                    where = f"{label}, k={k}, caps={caps}, prefix={prefix}"
+                    expected = first.get((caps, prefix))
+                    found, _ = search._b_search(adj, k, caps, identity, prefix)
+                    assert (found and tuple(found)) == expected, where
+                    found, _ = search._b_search(adj, k, caps, degree_order, prefix)
+                    assert (found is None) == (expected is None), where
+                    if found is not None:
+                        colouring = b.Colouring(k, tuple(found))
+                        assert colouring.colours[:len(prefix)] == prefix, where
+                        assert b.is_b_colouring(g, colouring), where
+                        assert caps is None or colouring.strengths() == caps, where
+                    checks += 1
+    assert checks > 10000
+
+
+def test_realizers_past_the_oracle_match_the_identity_order_search():
+    # 13 to 15 vertices, past the naive oracle's cap: each realizer of
+    # full_report is the first solution of the identity-order search with
+    # its sizes, the lexicographically smallest b-colouring with them; the
+    # scan's witnesses are b-colourings with those sizes, the max end's
+    # being a hit (non-increasing sizes) with its labels reversed
+    rng = random.Random(20261019)
+    for _ in range(30):
+        g = b.random_connected_graph(rng.randint(13, 15), rng, rng.uniform(0.2, 0.5))
+        r = b.full_report(g)
+        adj, order = search._prepare(g, None, False)
+        low, high, _ = search._extremal_witnesses(adj, order, r.phi)
+        for witness, realizer in ((low, r.min_colouring), (high, r.max_colouring)):
+            sizes = realizer.strengths()
+            found, _ = search._b_search(adj, r.phi, sizes, list(range(g.n)))
+            assert tuple(found) == realizer.colours, g
+            witness = b.Colouring(r.phi, tuple(witness))
+            assert b.is_b_colouring(g, witness) and witness.strengths() == sizes, g
+        assert list(r.max_colouring.strengths()) == sorted(r.max_colouring.strengths())
+
+
 def _has_distinct_representatives(sets):
     """Hall's condition by brute force: every j of the sets together hold
     at least j bits."""
@@ -312,9 +373,9 @@ def test_phi_search_tries_no_k_above_m_degree(monkeypatch):
     real = search._b_search
     tried = []
 
-    def recording(adj, k, caps, order):
+    def recording(adj, k, caps, order, prefix=()):
         tried.append(k)
-        return real(adj, k, caps, order)
+        return real(adj, k, caps, order, prefix)
 
     monkeypatch.setattr(search, "_b_search", recording)
     for g in (b.wheel(10), b.wheel(30), gnp):
@@ -322,6 +383,11 @@ def test_phi_search_tries_no_k_above_m_degree(monkeypatch):
         b.b_chromatic_number(g)
         b.full_report(g)
         assert tried and max(tried) <= m_degree(g), (g.n, sorted(set(tried)))
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # one stack frame per vertex would overflow Python's limit of 1000
+    assert b.b_chromatic_number(b.path(1000), max_n=1000) == 3
 
 
 def test_cap_below_one_is_malformed():
