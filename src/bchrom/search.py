@@ -10,13 +10,13 @@ Two independent routes are provided:
   and the maximum-mean b-colouring, and a witness colouring for each.  A
   realize step then turns each witness into the lexicographically
   smallest assignment with its sizes, fixing one vertex at a time to the
-  smallest colour the capped search can still complete.  chi, phi, the
-  scan and the realize step all run that one b-colouring search: chi is
-  the least k with a b-colouring, because a proper colouring with chi
-  colours is always a b-colouring (Irving & Manlove 1999).  The search
-  works on vertex bitmasks and prunes with three cuts (no b-vertex, cap
-  unfillable, distinct b-vertices), each a condition every completion
-  must meet, so its answers are exact;
+  smallest colour the capped search can still complete, in one search
+  per vertex.  chi, phi, the scan and the realize step all run that one
+  b-colouring search: chi is the least k with a b-colouring, because a
+  proper colouring with chi colours is always a b-colouring (Irving &
+  Manlove 1999).  The search works on vertex bitmasks and prunes with
+  three cuts (no b-vertex, cap unfillable, distinct b-vertices), each a
+  condition every completion must meet, so its answers are exact;
 
 * the naive oracle (`enumerate_b_colourings`, `naive_b_chromatic_number`,
   `naive_extremal`), which walks every labelled colouring in lexicographic
@@ -173,7 +173,7 @@ def _distinct_representatives(sets: list[int]) -> bool:
 def _nbhd_tables(adj: tuple[int, ...]) -> tuple[list[int], ...]:
     """nbhd[j][m]: the neighbourhood of the vertex set m << 8j, so N(S) is a
     few table lookups, one per byte of S.  Cached per graph: the realize
-    step makes many short searches, most refuted at their first node."""
+    step makes many short searches, up to one per vertex."""
     nbhd = []
     for base in range(0, len(adj), 8):
         table = [0]
@@ -184,7 +184,8 @@ def _nbhd_tables(adj: tuple[int, ...]) -> tuple[list[int], ...]:
 
 
 def _b_search(adj: list[int], k: int, caps: tuple[int, ...] | None,
-              order: list[int], prefix: Sequence[int] = ()) -> tuple[list[int] | None, int]:
+              order: list[int], prefix: Sequence[int] = (),
+              below: int | None = None) -> tuple[list[int] | None, int]:
     """First b-colouring with exactly k colours found by depth-first search.
 
     adj holds neighbour bitmasks.  caps fixes each colour class size
@@ -192,13 +193,17 @@ def _b_search(adj: list[int], k: int, caps: tuple[int, ...] | None,
     None leaves sizes free.  caps must be monotone (non-increasing or
     non-decreasing), so that labels with equal caps are adjacent.  prefix
     fixes the colours of vertices 0..len(prefix)-1: they are the starting
-    state, checked by one feasibility test (one node), and only
+    state, first tested by the cuts together with the next vertex placed
+    (alone, as one node, when it colours every vertex), and only
     completions of it are searched.  The other vertices are coloured in
     `order` and take colours in ascending label order; of two labels with
     equal caps that are both still empty, only the lower may open, since
     swapping them maps any completion onto another.  So with the identity
     vertex order the first solution is the lexicographically smallest
-    completion.
+    completion.  When below is given, vertex j = len(prefix) is coloured
+    first, ahead of the rest of `order`, and only with colours
+    1..below-1, so the first solution gives j the smallest such colour
+    that any completion allows.
 
     The state is colour-major: per class c, the vertex mask members[c] and
     blocked[c], the vertices adjacent to class c.  A vertex may still join c
@@ -274,15 +279,18 @@ def _b_search(adj: list[int], k: int, caps: tuple[int, ...] | None,
         size[c] += 1
         members[c] |= 1 << v
         blocked[c] |= adj[v]
-    rest = [v for v in order if v >= len(prefix)]
+    j = len(prefix)
+    rest = [v for v in order if v > j or v == j and below is None]
+    if below is not None:
+        rest.insert(0, j)
     m = len(rest)
     # uncoloured[i]: the vertices left uncoloured once rest[:i] is coloured
     uncoloured = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         uncoloured[i] = uncoloured[i + 1] | 1 << rest[i]
-    if prefix:
+    if not rest:  # a complete prefix is checked as a colouring
         nodes += 1
-        if not feasible(uncoloured[0]):
+        if not feasible(0):
             return None, nodes
 
     held = [0] * m   # held[i]: the colour rest[i] holds
@@ -292,7 +300,8 @@ def _b_search(adj: list[int], k: int, caps: tuple[int, ...] | None,
         v = rest[i]
         vbit = 1 << v
         free = uncoloured[i + 1]
-        while c < k:
+        top = k if i or below is None else below - 1  # colours open at depth i
+        while c < top:
             if not (blocked[c] & vbit or size[c] == cap[c]
                     or c and cap[c - 1] == cap[c] and not size[c - 1] and not size[c]):
                 size[c] += 1
@@ -306,7 +315,7 @@ def _b_search(adj: list[int], k: int, caps: tuple[int, ...] | None,
                 members[c] ^= vbit
                 size[c] -= 1
             c += 1
-        if c < k:
+        if c < top:
             held[i] = c
             i += 1
             c = 0
@@ -399,30 +408,20 @@ def _realize(adj: list[int], order: list[int], k: int,
     """(colouring, stats, nodes): the lexicographically smallest b-colouring
     with the class sizes of witness, itself a b-colouring with k colours.
 
-    Prefix fixing: with vertices 0..v-1 fixed, vertex v tries each colour
-    below the witness's colour at v in ascending order, and the first one
-    that the capped search (in `order`) completes gives the new witness.
-    If none does, v keeps the witness's colour, which the witness itself
-    completes.  A colour is skipped without a search when a fixed neighbour
-    of v has it, when its class is full, or when it and the label below it
-    are both unused and have equal sizes: swapping the two labels maps any
-    completion onto one with the lower label, which was tried first.
+    Prefix fixing: with vertices 0..v-1 fixed, one capped search (in
+    `order`, bounded below the witness's colour at v) gives v the smallest
+    colour any completion allows, and its completion is the new witness.
+    If it finds none, v keeps the witness's colour, which the witness
+    itself completes.  A vertex of colour 1 needs no search.
     """
     caps = Colouring(k, tuple(witness)).strengths()
-    size = [0] * (k + 1)  # size[c]: fixed vertices of colour c
     nodes = 0
     for v in range(len(adj)):
-        taken = {witness[u] for u in range(v) if adj[v] >> u & 1}
-        for c in range(1, witness[v]):
-            if (c in taken or size[c] == caps[c - 1]
-                    or c > 1 and caps[c - 2] == caps[c - 1] and not size[c - 1] and not size[c]):
-                continue
-            found, explored = _b_search(adj, k, caps, order, witness[:v] + [c])
+        if witness[v] > 1:
+            found, explored = _b_search(adj, k, caps, order, witness[:v], witness[v])
             nodes += explored
             if found is not None:
                 witness = found
-                break
-        size[witness[v]] += 1
     return Colouring(k, tuple(witness)), stats_from_strengths(caps), nodes
 
 

@@ -111,13 +111,13 @@ def b_vertices(g: Graph, c: Colouring, colour: int) -> frozenset[int]:
     _check_cover(g.n, c)
     if not (1 <= colour <= c.k):
         raise ValueError(f"colour {colour} outside 1..{c.k}")
-    others = set(range(1, c.k + 1)) - {colour}
     found = []
     for v in range(1, g.n + 1):
         if c.colours[v - 1] != colour:
             continue
-        seen = {c.colours[w - 1] for w in g.adjacency[v]}
-        if others <= seen:
+        # colours lie in 1..k, so k - 1 distinct others are all of them
+        seen = {c.colours[w - 1] for w in g.adjacency[v]} - {colour}
+        if len(seen) == c.k - 1:
             found.append(v)
     return frozenset(found)
 

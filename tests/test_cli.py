@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -85,6 +86,18 @@ def test_stats_with_colouring_file(tmp_path):
     assert record["variance"] == {"num": 2, "den": 9}
     assert record["proper"] and record["b_colouring"]
     assert record["classes_without_b_vertex"] == []
+
+
+def test_stats_with_many_declared_colours(tmp_path):
+    # each class's b-vertex test is linear in the degree, not in k
+    colouring = tmp_path / "c.txt"
+    colouring.write_text("20000\n1 1\n2 2\n3 1\n")
+    start = time.perf_counter()
+    code, out, _ = run_cli("stats", "--family", "path", "--n", "3",
+                           "--colouring", str(colouring))
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert json.loads(out)["classes_without_b_vertex"] == list(range(1, 20001))
 
 
 def test_stats_identifies_failing_classes(tmp_path):

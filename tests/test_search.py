@@ -104,7 +104,7 @@ def test_extremal_tie_break_on_strength_vector(monkeypatch):
     # (9,5,5,1) and (8,8,2,2) share mean 19/10 and variance 89/100 at
     # n = 20, the first tie between non-increasing size vectors; a fake
     # search admits only those two, so the tie-break alone picks the sizes
-    def fake_search(adj, k, caps, order, prefix=()):
+    def fake_search(adj, k, caps, order, prefix=(), below=None):
         if tuple(sorted(caps, reverse=True)) not in {(9, 5, 5, 1), (8, 8, 2, 2)}:
             return None, 1
         return [c for c, size in enumerate(caps, start=1) for _ in range(size)], 1
@@ -264,7 +264,11 @@ def test_prefix_search_is_exact_against_the_oracle():
     # for every size vector in both orientations: the identity-order search
     # finds the lexicographically smallest b-colouring the oracle lists
     # with that prefix, and the degree-order search finds a completion of
-    # the prefix exactly when the oracle lists one
+    # the prefix exactly when the oracle lists one.  With a bound, the
+    # prefix's last colour becomes the bound on vertex j = len(prefix) - 1:
+    # the identity-order search finds the first colouring the oracle lists
+    # with the shorter prefix and a colour below the bound at j, and the
+    # degree-order search gives j the smallest such colour the oracle allows
     checks = 0
     for label, g in _small_graphs():
         adj, degree_order = search._prepare(g, None, False)
@@ -295,7 +299,29 @@ def test_prefix_search_is_exact_against_the_oracle():
                         assert b.is_b_colouring(g, colouring), where
                         assert caps is None or colouring.strengths() == caps, where
                     checks += 1
-    assert checks > 10000
+
+                    head, bound = prefix[:-1], prefix[-1]
+                    j = len(head)
+                    least = next((c for c in range(1, bound) if (caps, head + (c,)) in first),
+                                 None)
+                    expected = first.get((caps, head + (least,)))
+                    where += ", bounded"
+                    found, _ = search._b_search(adj, k, caps, identity, head, bound)
+                    assert (found and tuple(found)) == expected, where
+                    found, _ = search._b_search(adj, k, caps, degree_order, head, bound)
+                    assert (found and found[j]) == least, where
+                    if found is not None:
+                        colouring = b.Colouring(k, tuple(found))
+                        assert colouring.colours[:j] == head, where
+                        assert b.is_b_colouring(g, colouring), where
+                        assert caps is None or colouring.strengths() == caps, where
+                    checks += 1
+    assert checks > 20000
+    # a prefix of every vertex is tested as a colouring: (1, 2, 1) on
+    # path(3) is a b-colouring with two colours, but leaves a third unused
+    adj, order = search._prepare(b.path(3), None, False)
+    assert search._b_search(adj, 2, None, order, (1, 2, 1)) == ([1, 2, 1], 1)
+    assert search._b_search(adj, 3, None, order, (1, 2, 1)) == (None, 1)
 
 
 def test_realizers_past_the_oracle_match_the_identity_order_search():
@@ -373,9 +399,9 @@ def test_phi_search_tries_no_k_above_m_degree(monkeypatch):
     real = search._b_search
     tried = []
 
-    def recording(adj, k, caps, order, prefix=()):
+    def recording(adj, k, caps, order, prefix=(), below=None):
         tried.append(k)
-        return real(adj, k, caps, order, prefix)
+        return real(adj, k, caps, order, prefix, below)
 
     monkeypatch.setattr(search, "_b_search", recording)
     for g in (b.wheel(10), b.wheel(30), gnp):
@@ -383,6 +409,46 @@ def test_phi_search_tries_no_k_above_m_degree(monkeypatch):
         b.b_chromatic_number(g)
         b.full_report(g)
         assert tried and max(tried) <= m_degree(g), (g.n, sorted(set(tried)))
+
+
+def test_realize_searches_at_most_once_per_vertex(monkeypatch):
+    # the first random-gnp benchmark draw at n = 16
+    rng = random.Random(16)
+    p = rng.uniform(0.2, 0.35)
+    gnp = b.random_connected_graph(16, rng, p)
+    real = search._b_search
+    calls = []
+
+    def recording(adj, k, caps, order, prefix=(), below=None):
+        calls.append(len(prefix))
+        return real(adj, k, caps, order, prefix, below)
+
+    cases = []
+    for g in (b.wheel(30), b.sunlet(8), b.closed_ladder(8), gnp):
+        adj, order = search._prepare(g, None, False)
+        k = b.b_chromatic_number(g)
+        cases += [(adj, order, k, witness)
+                  for witness in search._extremal_witnesses(adj, order, k)[:2]]
+    monkeypatch.setattr(search, "_b_search", recording)
+    for adj, order, k, witness in cases:
+        calls.clear()
+        search._realize(adj, order, k, witness)
+        assert len(calls) <= len(adj), (len(adj), calls)
+
+
+def test_cubic_graphs_past_the_oracle():
+    # Jakovac & Klavzar (2010): every cubic graph has b-chromatic number 4
+    # except four graphs, among them the prism, the Petersen graph and K3,3
+    for n in range(4, 17):
+        assert b.b_chromatic_number(b.closed_ladder(n)) == 4, n
+    assert b.b_chromatic_number(b.closed_ladder(3)) == 3
+    outer = [(i, i % 5 + 1) for i in range(1, 6)]
+    inner = [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)]
+    spokes = [(i, i + 5) for i in range(1, 6)]
+    petersen = b.build_graph(10, outer + inner + spokes)
+    assert all(petersen.degree(v) == 3 for v in petersen.vertices())
+    assert b.b_chromatic_number(petersen) == 3
+    assert b.b_chromatic_number(b.complete_bipartite(3, 3)) == 2
 
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
