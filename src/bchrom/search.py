@@ -31,7 +31,6 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
 from typing import Iterator, Sequence
@@ -77,17 +76,32 @@ def _check_caps(n: int, max_n: int | None, default: int) -> None:
         raise SearchCapError(f"graph has {n} vertices, cap is {cap}")
 
 
-def _prepare(g: Graph, max_n: int | None,
-             allow_disconnected: bool) -> tuple[list[int], list[int]]:
-    """Gate on the search cap and connectivity, then give the neighbour
-    bitmasks (bit u of adj[v] is set when u ~ v, 0-based) and the
-    degree-descending vertex order the search runs on."""
+@dataclass
+class _Prepared:
+    """One graph as every search phase on it sees it."""
+
+    adj: list[int]          # adj[v]: neighbour bitmask of v (bit u set when u ~ v, 0-based)
+    order: list[int]        # the vertex order the search colours in
+    nbhd: list[list[int]]   # nbhd[j][m] = N(m << 8j): N(S) is one lookup per byte of S
+    nodes: int = 0          # search nodes explored on this graph so far
+
+
+def _prepare(g: Graph, max_n: int | None, allow_disconnected: bool) -> _Prepared:
+    """Gate on the search cap and connectivity, then prepare g for the
+    search, in degree-descending vertex order (ties by index)."""
     _check_caps(g.n, max_n, DEFAULT_SEARCH_CAP)
     if not allow_disconnected and not g.connected:
         raise DisconnectedGraphError(
             "graph is disconnected; pass allow_disconnected=True to override")
     adj = [sum(1 << (w - 1) for w in g.adjacency[v]) for v in g.vertices()]
-    return adj, _degree_desc_order(adj)
+    nbhd = []
+    for base in range(0, g.n, 8):
+        table = [0]
+        for u in range(base, min(base + 8, g.n)):
+            table += [m | adj[u] for m in table]
+        nbhd.append(table)
+    order = sorted(range(g.n), key=lambda v: (-adj[v].bit_count(), v))
+    return _Prepared(adj, order, nbhd)
 
 
 def m_degree(g: Graph) -> int:
@@ -108,29 +122,22 @@ def m_degree(g: Graph) -> int:
 # Pruned backtracking search
 # ---------------------------------------------------------------------------
 
-def _degree_desc_order(adj: list[int]) -> list[int]:
-    return sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
-
-
-def _first_k(adj: list[int], order: list[int], ks: range) -> tuple[int, int]:
-    """(first k in ks with a b-colouring of exactly k colours, nodes)."""
-    nodes = 0
+def _first_k(p: _Prepared, ks: range) -> int:
+    """The first k in ks with a b-colouring of exactly k colours."""
     for k in ks:
-        assignment, explored = _b_search(adj, k, None, order)
-        nodes += explored
-        if assignment is not None:
-            return k, nodes
+        if _b_search(p, k, None) is not None:
+            return k
     raise AssertionError("unreachable: every graph has a b-colouring with chi colours")
 
 
-def _chi(adj: list[int], order: list[int]) -> tuple[int, int]:
-    """(chromatic number, nodes): the least k with a b-colouring."""
-    return _first_k(adj, order, range(1, len(adj) + 1))
+def _chi(p: _Prepared) -> int:
+    """Chromatic number: the least k with a b-colouring."""
+    return _first_k(p, range(1, len(p.adj) + 1))
 
 
-def _phi(g: Graph, adj: list[int], order: list[int]) -> tuple[int, int]:
-    """(b-chromatic number, nodes): k from m_degree(g) downward."""
-    return _first_k(adj, order, range(m_degree(g), 0, -1))
+def _phi(g: Graph, p: _Prepared) -> int:
+    """b-chromatic number: k from m_degree(g) downward."""
+    return _first_k(p, range(m_degree(g), 0, -1))
 
 
 def _distinct_representatives(sets: list[int]) -> bool:
@@ -169,41 +176,27 @@ def _distinct_representatives(sets: list[int]) -> bool:
     return True
 
 
-@lru_cache(maxsize=8)
-def _nbhd_tables(adj: tuple[int, ...]) -> tuple[list[int], ...]:
-    """nbhd[j][m]: the neighbourhood of the vertex set m << 8j, so N(S) is a
-    few table lookups, one per byte of S.  Cached per graph: the realize
-    step makes many short searches, up to one per vertex."""
-    nbhd = []
-    for base in range(0, len(adj), 8):
-        table = [0]
-        for u in range(base, min(base + 8, len(adj))):
-            table += [m | adj[u] for m in table]
-        nbhd.append(table)
-    return tuple(nbhd)
+def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
+              prefix: Sequence[int] = (), below: int | None = None) -> list[int] | None:
+    """First b-colouring with exactly k colours of the prepared graph p
+    found by depth-first search, or None.  The nodes it explores are
+    counted on a local and added to p.nodes once, as it returns.
 
-
-def _b_search(adj: list[int], k: int, caps: tuple[int, ...] | None,
-              order: list[int], prefix: Sequence[int] = (),
-              below: int | None = None) -> tuple[list[int] | None, int]:
-    """First b-colouring with exactly k colours found by depth-first search.
-
-    adj holds neighbour bitmasks.  caps fixes each colour class size
-    exactly (caps[i] is the size of class i+1, and sum(caps) must equal n);
-    None leaves sizes free.  caps must be monotone (non-increasing or
-    non-decreasing), so that labels with equal caps are adjacent.  prefix
-    fixes the colours of vertices 0..len(prefix)-1: they are the starting
-    state, first tested by the cuts together with the next vertex placed
-    (alone, as one node, when it colours every vertex), and only
-    completions of it are searched.  The other vertices are coloured in
-    `order` and take colours in ascending label order; of two labels with
-    equal caps that are both still empty, only the lower may open, since
-    swapping them maps any completion onto another.  So with the identity
-    vertex order the first solution is the lexicographically smallest
-    completion.  When below is given, vertex j = len(prefix) is coloured
-    first, ahead of the rest of `order`, and only with colours
-    1..below-1, so the first solution gives j the smallest such colour
-    that any completion allows.
+    caps fixes each colour class size exactly (caps[i] is the size of
+    class i+1, and sum(caps) must equal n); None leaves sizes free.  caps
+    must be monotone (non-increasing or non-decreasing), so that labels
+    with equal caps are adjacent.  prefix fixes the colours of vertices
+    0..len(prefix)-1: they are the starting state, first tested by the
+    cuts together with the next vertex placed (alone, as one node, when it
+    colours every vertex), and only completions of it are searched.  The
+    other vertices are coloured in p.order and take colours in ascending
+    label order; of two labels with equal caps that are both still empty,
+    only the lower may open, since swapping them maps any completion onto
+    another.  So with the identity vertex order the first solution is the
+    lexicographically smallest completion.  When below is given, vertex
+    j = len(prefix) is coloured first, ahead of the rest of p.order, and
+    only with colours 1..below-1, so the first solution gives j the
+    smallest such colour that any completion allows.
 
     The state is colour-major: per class c, the vertex mask members[c] and
     blocked[c], the vertices adjacent to class c.  A vertex may still join c
@@ -225,10 +218,10 @@ def _b_search(adj: list[int], k: int, caps: tuple[int, ...] | None,
     the colour its vertex holds and the blocked mask of that colour from
     before the vertex joined it, and undoes both on the way back.
     """
+    adj, nbhd = p.adj, p.nbhd
     n = len(adj)
     cap = [n] * k if caps is None else list(caps)
     eligible = sum(1 << v for v in range(n) if adj[v].bit_count() >= k - 1)
-    nbhd = _nbhd_tables(tuple(adj))
 
     size = [0] * k
     members = [0] * k
@@ -275,12 +268,12 @@ def _b_search(adj: list[int], k: int, caps: tuple[int, ...] | None,
     for v, c in enumerate(prefix):
         c -= 1
         if blocked[c] >> v & 1 or size[c] == cap[c]:
-            return None, 0
+            return None
         size[c] += 1
         members[c] |= 1 << v
         blocked[c] |= adj[v]
     j = len(prefix)
-    rest = [v for v in order if v > j or v == j and below is None]
+    rest = [v for v in p.order if v > j or v == j and below is None]
     if below is not None:
         rest.insert(0, j)
     m = len(rest)
@@ -289,9 +282,9 @@ def _b_search(adj: list[int], k: int, caps: tuple[int, ...] | None,
     for i in range(m - 1, -1, -1):
         uncoloured[i] = uncoloured[i + 1] | 1 << rest[i]
     if not rest:  # a complete prefix is checked as a colouring
-        nodes += 1
+        p.nodes += 1
         if not feasible(0):
-            return None, nodes
+            return None
 
     held = [0] * m   # held[i]: the colour rest[i] holds
     saved = [0] * m  # saved[i]: blocked[held[i]] before rest[i] joined it
@@ -327,25 +320,34 @@ def _b_search(adj: list[int], k: int, caps: tuple[int, ...] | None,
             size[c] -= 1
             c += 1
         else:
-            return None, nodes
-    return [next(c + 1 for c in colours if members[c] >> v & 1) for v in range(n)], nodes
+            break
+    p.nodes += nodes
+    if i < m:
+        return None
+    return [next(c + 1 for c in colours if members[c] >> v & 1) for v in range(n)]
 
 
 def _independence_number(adj: list[int]) -> int:
-    """Exact independence number by branching on leftmost remaining vertex."""
+    """Exact independence number by branching on the leftmost remaining
+    vertex v: take it, then leave it out.  When v has at most one remaining
+    neighbour, some maximum independent set holds v (v can replace that
+    neighbour in it), so v is taken without branching."""
     best = 0
 
     def rec(candidates: int, count: int) -> None:
         nonlocal best
-        if count + candidates.bit_count() <= best:
-            return
-        if candidates == 0:
-            best = max(best, count)
-            return
-        b = candidates & -candidates
-        v = b.bit_length() - 1
-        rec(candidates & ~b & ~adj[v], count + 1)
-        rec(candidates & ~b, count)
+        while count + candidates.bit_count() > best:
+            if not candidates:
+                best = count
+                return
+            b = candidates & -candidates
+            candidates ^= b
+            nbrs = candidates & adj[b.bit_length() - 1]
+            if nbrs & (nbrs - 1):  # two or more: take v here, leave it out below
+                rec(candidates & ~nbrs, count + 1)
+            else:
+                candidates &= ~nbrs
+                count += 1
 
     rec((1 << len(adj)) - 1, 0)
     return best
@@ -369,10 +371,9 @@ def _partitions_desc(total: int, parts: int, largest: int) -> list[tuple[int, ..
     return out
 
 
-def _extremal_witnesses(adj: list[int], order: list[int],
-                        k: int) -> tuple[list[int], list[int], int]:
-    """(min_witness, max_witness, nodes): b-colourings with exactly k
-    colours whose class sizes by label are those of the minimum- and the
+def _extremal_witnesses(p: _Prepared, k: int) -> tuple[list[int], list[int]]:
+    """(min_witness, max_witness): b-colourings with exactly k colours
+    whose class sizes by label are those of the minimum- and the
     maximum-mean b-colourings.
 
     Candidate size vectors are ranked by (mean, variance) with descending
@@ -386,55 +387,50 @@ def _extremal_witnesses(adj: list[int], order: list[int],
     """
     if k < 1:
         raise ValueError("colour count must be >= 1")
-    candidates = _partitions_desc(len(adj), k, _independence_number(adj))
-    nodes = 0
+    candidates = _partitions_desc(len(p.adj), k, _independence_number(p.adj))
     for _, group in groupby(sorted((stats_from_strengths(t), t) for t in candidates),
                             key=itemgetter(0)):
         hits = []
         for _, theta in group:
-            assignment, explored = _b_search(adj, k, theta, order)
-            nodes += explored
+            assignment = _b_search(p, k, theta)
             if assignment is not None:
                 hits.append((theta, assignment))
         if hits:
             low = min(hits, key=itemgetter(0))[1]
             high = min(hits, key=lambda hit: hit[0][::-1])[1]
-            return low, [k + 1 - c for c in high], nodes
+            return low, [k + 1 - c for c in high]
     raise NoBColouringError(f"no b-colouring of this graph uses exactly {k} colours")
 
 
-def _realize(adj: list[int], order: list[int], k: int,
-             witness: list[int]) -> tuple[Colouring, ChromaStats, int]:
-    """(colouring, stats, nodes): the lexicographically smallest b-colouring
-    with the class sizes of witness, itself a b-colouring with k colours.
+def _realize(p: _Prepared, k: int, witness: list[int]) -> tuple[Colouring, ChromaStats]:
+    """(colouring, stats): the lexicographically smallest b-colouring with
+    the class sizes of witness, itself a b-colouring with k colours.
 
     Prefix fixing: with vertices 0..v-1 fixed, one capped search (in
-    `order`, bounded below the witness's colour at v) gives v the smallest
+    p.order, bounded below the witness's colour at v) gives v the smallest
     colour any completion allows, and its completion is the new witness.
     If it finds none, v keeps the witness's colour, which the witness
     itself completes.  A vertex of colour 1 needs no search.
     """
     caps = Colouring(k, tuple(witness)).strengths()
-    nodes = 0
-    for v in range(len(adj)):
+    for v in range(len(p.adj)):
         if witness[v] > 1:
-            found, explored = _b_search(adj, k, caps, order, witness[:v], witness[v])
-            nodes += explored
+            found = _b_search(p, k, caps, witness[:v], witness[v])
             if found is not None:
                 witness = found
-    return Colouring(k, tuple(witness)), stats_from_strengths(caps), nodes
+    return Colouring(k, tuple(witness)), stats_from_strengths(caps)
 
 
 def chromatic_number(g: Graph, max_n: int | None = None,
                      allow_disconnected: bool = False) -> int:
     """Exact chromatic number: the least k admitting a b-colouring."""
-    return _chi(*_prepare(g, max_n, allow_disconnected))[0]
+    return _chi(_prepare(g, max_n, allow_disconnected))
 
 
 def b_chromatic_number(g: Graph, max_n: int | None = None,
                        allow_disconnected: bool = False) -> int:
     """Exact b-chromatic number, testing k from m_degree(g) downward."""
-    return _phi(g, *_prepare(g, max_n, allow_disconnected))[0]
+    return _phi(g, _prepare(g, max_n, allow_disconnected))
 
 
 def min_mean_b_colouring(g: Graph, k: int, max_n: int | None = None,
@@ -444,35 +440,33 @@ def min_mean_b_colouring(g: Graph, k: int, max_n: int | None = None,
     Ties are broken by minimum variance, then lexicographically smallest
     strength vector, then lexicographically smallest assignment.
     """
-    adj, order = _prepare(g, max_n, allow_disconnected)
-    return _realize(adj, order, k, _extremal_witnesses(adj, order, k)[0])[:2]
+    p = _prepare(g, max_n, allow_disconnected)
+    return _realize(p, k, _extremal_witnesses(p, k)[0])
 
 
 def max_mean_b_colouring(g: Graph, k: int, max_n: int | None = None,
                          allow_disconnected: bool = False) -> tuple[Colouring, ChromaStats]:
     """Mean-maximising mirror of min_mean_b_colouring (same tie-break order)."""
-    adj, order = _prepare(g, max_n, allow_disconnected)
-    return _realize(adj, order, k, _extremal_witnesses(adj, order, k)[1])[:2]
+    p = _prepare(g, max_n, allow_disconnected)
+    return _realize(p, k, _extremal_witnesses(p, k)[1])
 
 
 def full_report(g: Graph, max_n: int | None = None,
                 allow_disconnected: bool = False) -> SearchReport:
     """chi, phi and the extremal b-colouring statistics at k = phi."""
-    adj, order = _prepare(g, max_n, allow_disconnected)
+    p = _prepare(g, max_n, allow_disconnected)
     if g.n == 1:
         warnings.warn("trivial graph: statistics are degenerate", stacklevel=2)
     t0 = time.perf_counter()
-    chi, chi_nodes = _chi(adj, order)
-    phi, phi_nodes = _phi(g, adj, order)
-    min_witness, max_witness, scan_nodes = _extremal_witnesses(adj, order, phi)
-    min_col, min_stats, min_nodes = _realize(adj, order, phi, min_witness)
-    max_col, max_stats, max_nodes = _realize(adj, order, phi, max_witness)
+    chi = _chi(p)
+    phi = _phi(g, p)
+    min_witness, max_witness = _extremal_witnesses(p, phi)
+    min_col, min_stats = _realize(p, phi, min_witness)
+    max_col, max_stats = _realize(p, phi, max_witness)
     return SearchReport(chi=chi, phi=phi,
                         min_colouring=min_col, min_stats=min_stats,
                         max_colouring=max_col, max_stats=max_stats,
-                        nodes_explored=chi_nodes + phi_nodes + scan_nodes
-                                       + min_nodes + max_nodes,
-                        seconds=time.perf_counter() - t0)
+                        nodes_explored=p.nodes, seconds=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 
@@ -104,10 +105,10 @@ def test_extremal_tie_break_on_strength_vector(monkeypatch):
     # (9,5,5,1) and (8,8,2,2) share mean 19/10 and variance 89/100 at
     # n = 20, the first tie between non-increasing size vectors; a fake
     # search admits only those two, so the tie-break alone picks the sizes
-    def fake_search(adj, k, caps, order, prefix=(), below=None):
+    def fake_search(p, k, caps, prefix=(), below=None):
         if tuple(sorted(caps, reverse=True)) not in {(9, 5, 5, 1), (8, 8, 2, 2)}:
-            return None, 1
-        return [c for c, size in enumerate(caps, start=1) for _ in range(size)], 1
+            return None
+        return [c for c, size in enumerate(caps, start=1) for _ in range(size)]
 
     monkeypatch.setattr(search, "_b_search", fake_search)
     col, _ = b.min_mean_b_colouring(b.path(20), 4)
@@ -158,6 +159,17 @@ def test_full_report_deterministic():
             r1.min_stats, r1.max_stats, r1.nodes_explored) == \
            (r2.chi, r2.phi, r2.min_colouring, r2.max_colouring,
             r2.min_stats, r2.max_stats, r2.nodes_explored)
+
+
+def test_full_report_node_counts_are_pinned():
+    # exact counts, so that a change to the search that moves them shows;
+    # gnp is the first random-gnp benchmark draw at n = 16
+    rng = random.Random(16)
+    p = rng.uniform(0.2, 0.35)
+    gnp = b.random_connected_graph(16, rng, p)
+    for g, nodes in ((b.wheel(10), 552), (b.sunlet(8), 3244),
+                     (b.closed_ladder(8), 24363), (gnp, 8027)):
+        assert b.full_report(g).nodes_explored == nodes, g
 
 
 def test_trivial_graph_report_warns():
@@ -235,8 +247,8 @@ def test_b_search_is_exact_against_the_oracle():
     # the oracle lists none
     checks = 0
     for label, g in _small_graphs():
-        adj, degree_order = search._prepare(g, None, False)
-        identity = list(range(g.n))
+        degree_order = search._prepare(g, None, False)
+        identity = replace(degree_order, order=list(range(g.n)))
         for k in range(1, g.n + 1):
             first_by_sizes = {}
             for c in b.enumerate_b_colourings(g, k):
@@ -247,9 +259,9 @@ def test_b_search_is_exact_against_the_oracle():
             for caps, expected in [(None, expected_free)] + [
                     (t, first_by_sizes.get(t)) for t in sorted(thetas)]:
                 where = f"{label}, k={k}, caps={caps}"
-                found, _ = search._b_search(adj, k, caps, identity)
+                found = search._b_search(identity, k, caps)
                 assert (found and tuple(found)) == expected, where
-                found, _ = search._b_search(adj, k, caps, degree_order)
+                found = search._b_search(degree_order, k, caps)
                 assert (found is None) == (expected is None), where
                 if found is not None:
                     colouring = b.Colouring(k, tuple(found))
@@ -271,8 +283,8 @@ def test_prefix_search_is_exact_against_the_oracle():
     # degree-order search gives j the smallest such colour the oracle allows
     checks = 0
     for label, g in _small_graphs():
-        adj, degree_order = search._prepare(g, None, False)
-        identity = list(range(g.n))
+        degree_order = search._prepare(g, None, False)
+        identity = replace(degree_order, order=list(range(g.n)))
         for k in range(1, g.n + 1):
             # (sizes or None, prefix) -> first colouring listed; above
             # m_degree the oracle lists none, so its walk is skipped
@@ -289,9 +301,9 @@ def test_prefix_search_is_exact_against_the_oracle():
                 for prefix in prefixes:
                     where = f"{label}, k={k}, caps={caps}, prefix={prefix}"
                     expected = first.get((caps, prefix))
-                    found, _ = search._b_search(adj, k, caps, identity, prefix)
+                    found = search._b_search(identity, k, caps, prefix)
                     assert (found and tuple(found)) == expected, where
-                    found, _ = search._b_search(adj, k, caps, degree_order, prefix)
+                    found = search._b_search(degree_order, k, caps, prefix)
                     assert (found is None) == (expected is None), where
                     if found is not None:
                         colouring = b.Colouring(k, tuple(found))
@@ -306,9 +318,9 @@ def test_prefix_search_is_exact_against_the_oracle():
                                  None)
                     expected = first.get((caps, head + (least,)))
                     where += ", bounded"
-                    found, _ = search._b_search(adj, k, caps, identity, head, bound)
+                    found = search._b_search(identity, k, caps, head, bound)
                     assert (found and tuple(found)) == expected, where
-                    found, _ = search._b_search(adj, k, caps, degree_order, head, bound)
+                    found = search._b_search(degree_order, k, caps, head, bound)
                     assert (found and found[j]) == least, where
                     if found is not None:
                         colouring = b.Colouring(k, tuple(found))
@@ -318,10 +330,11 @@ def test_prefix_search_is_exact_against_the_oracle():
                     checks += 1
     assert checks > 20000
     # a prefix of every vertex is tested as a colouring: (1, 2, 1) on
-    # path(3) is a b-colouring with two colours, but leaves a third unused
-    adj, order = search._prepare(b.path(3), None, False)
-    assert search._b_search(adj, 2, None, order, (1, 2, 1)) == ([1, 2, 1], 1)
-    assert search._b_search(adj, 3, None, order, (1, 2, 1)) == (None, 1)
+    # path(3) is a b-colouring with two colours, but leaves a third unused;
+    # each test is one node
+    p = search._prepare(b.path(3), None, False)
+    assert search._b_search(p, 2, None, (1, 2, 1)) == [1, 2, 1] and p.nodes == 1
+    assert search._b_search(p, 3, None, (1, 2, 1)) is None and p.nodes == 2
 
 
 def test_realizers_past_the_oracle_match_the_identity_order_search():
@@ -334,15 +347,39 @@ def test_realizers_past_the_oracle_match_the_identity_order_search():
     for _ in range(30):
         g = b.random_connected_graph(rng.randint(13, 15), rng, rng.uniform(0.2, 0.5))
         r = b.full_report(g)
-        adj, order = search._prepare(g, None, False)
-        low, high, _ = search._extremal_witnesses(adj, order, r.phi)
+        p = search._prepare(g, None, False)
+        low, high = search._extremal_witnesses(p, r.phi)
         for witness, realizer in ((low, r.min_colouring), (high, r.max_colouring)):
             sizes = realizer.strengths()
-            found, _ = search._b_search(adj, r.phi, sizes, list(range(g.n)))
+            found = search._b_search(replace(p, order=list(range(g.n))), r.phi, sizes)
             assert tuple(found) == realizer.colours, g
             witness = b.Colouring(r.phi, tuple(witness))
             assert b.is_b_colouring(g, witness) and witness.strengths() == sizes, g
         assert list(r.max_colouring.strengths()) == sorted(r.max_colouring.strengths())
+
+
+def test_independence_number_matches_brute_force():
+    rng = random.Random(20261020)
+    for _ in range(400):
+        n = rng.randint(1, 14)
+        density = rng.random()
+        adj = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < density:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+        # independent[s]: no two vertices of the set s are adjacent
+        independent = [True] * (1 << n)
+        for s in range(1, 1 << n):
+            low = s & -s
+            independent[s] = independent[s ^ low] and not adj[low.bit_length() - 1] & s
+        expected = max(s.bit_count() for s in range(1 << n) if independent[s])
+        assert search._independence_number(adj) == expected, adj
+    # long paths and cycles, whose vertices mostly have one remaining
+    # neighbour when branched on
+    assert search._independence_number(search._prepare(b.path(400), 400, False).adj) == 200
+    assert search._independence_number(search._prepare(b.cycle(61), 61, False).adj) == 30
 
 
 def _has_distinct_representatives(sets):
@@ -383,9 +420,10 @@ def test_free_search_above_m_degree_refutes_at_the_first_node():
     # open class 1, and that node fails the cuts
     checks = 0
     for _, g in _small_graphs(max_vertices=12, draws=40):
-        adj, order = search._prepare(g, None, False)
+        p = search._prepare(g, None, False)
         for k in range(m_degree(g) + 1, g.n + 1):
-            assert search._b_search(adj, k, None, order) == (None, 1), (g, k)
+            p.nodes = 0
+            assert search._b_search(p, k, None) is None and p.nodes == 1, (g, k)
             checks += 1
     assert checks > 200
 
@@ -399,9 +437,9 @@ def test_phi_search_tries_no_k_above_m_degree(monkeypatch):
     real = search._b_search
     tried = []
 
-    def recording(adj, k, caps, order, prefix=(), below=None):
+    def recording(p, k, caps, prefix=(), below=None):
         tried.append(k)
-        return real(adj, k, caps, order, prefix, below)
+        return real(p, k, caps, prefix, below)
 
     monkeypatch.setattr(search, "_b_search", recording)
     for g in (b.wheel(10), b.wheel(30), gnp):
@@ -419,21 +457,20 @@ def test_realize_searches_at_most_once_per_vertex(monkeypatch):
     real = search._b_search
     calls = []
 
-    def recording(adj, k, caps, order, prefix=(), below=None):
+    def recording(p, k, caps, prefix=(), below=None):
         calls.append(len(prefix))
-        return real(adj, k, caps, order, prefix, below)
+        return real(p, k, caps, prefix, below)
 
     cases = []
     for g in (b.wheel(30), b.sunlet(8), b.closed_ladder(8), gnp):
-        adj, order = search._prepare(g, None, False)
+        p = search._prepare(g, None, False)
         k = b.b_chromatic_number(g)
-        cases += [(adj, order, k, witness)
-                  for witness in search._extremal_witnesses(adj, order, k)[:2]]
+        cases += [(p, k, witness) for witness in search._extremal_witnesses(p, k)]
     monkeypatch.setattr(search, "_b_search", recording)
-    for adj, order, k, witness in cases:
+    for p, k, witness in cases:
         calls.clear()
-        search._realize(adj, order, k, witness)
-        assert len(calls) <= len(adj), (len(adj), calls)
+        search._realize(p, k, witness)
+        assert len(calls) <= len(p.adj), (len(p.adj), calls)
 
 
 def test_cubic_graphs_past_the_oracle():
