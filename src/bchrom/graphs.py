@@ -175,11 +175,15 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 
 def sunlet(n: int) -> Graph:
     """Cycle 1..n with pendant n+i attached to cycle vertex i (2n vertices)."""
+    if n < 3:
+        raise GraphError("sunlet requires cycle length n >= 3")
     return corona_with_k1(cycle(n))
 
 
 def closed_ladder(n: int) -> Graph:
     """Prism over an n-cycle: inner cycle 1..n, outer copy n+1..2n."""
+    if n < 3:
+        raise GraphError("closed-ladder requires cycle length n >= 3")
     return cartesian_product(cycle(n), path(2))
 
 

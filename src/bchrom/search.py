@@ -15,8 +15,11 @@ Two independent routes are provided:
   b-colouring search: chi is the least k with a b-colouring, because a
   proper colouring with chi colours is always a b-colouring (Irving &
   Manlove 1999).  The search works on vertex bitmasks and prunes with
-  three cuts (no b-vertex, cap unfillable, distinct b-vertices), each a
-  condition every completion must meet, so its answers are exact;
+  four cuts (no b-vertex, cap unfillable, class cannot stay independent,
+  distinct b-vertices), each a condition every completion must meet, so
+  its answers are exact.  The independence cut uses that a colour class
+  takes at most one end of each edge of a matching among the vertices
+  that may still join it;
 
 * the naive oracle (`enumerate_b_colourings`, `naive_b_chromatic_number`,
   `naive_extremal`), which walks every labelled colouring in lexicographic
@@ -204,9 +207,13 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
     can still see colour d when it is in blocked[d] or is adjacent to a
     vertex that may still join d.  A b-vertex candidate of c is an eligible
     vertex (degree >= k - 1) that is in c or may still join it, and that
-    can still see every other colour.  Three cuts drop a branch:
+    can still see every other colour.  Four cuts drop a branch:
       * some class has no b-vertex candidate left;
       * in capped mode, some class can no longer be filled to its cap;
+      * in capped mode, some class cannot reach its cap and stay
+        independent: with mu disjoint edges among the vertices that may
+        still join it, at most one end of each can, so it can grow by at
+        most their number less mu;
       * the classes whose candidates are all uncoloured cannot be given
         distinct candidates (a class with a coloured candidate is settled;
         one vertex is the b-vertex of one class only).
@@ -227,6 +234,7 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
     members = [0] * k
     blocked = [0] * k
     colours = range(k)
+    capped = caps is not None
     nodes = 0
 
     def feasible(free: int) -> bool:
@@ -236,13 +244,32 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
             r = blocked[c]
             if size[c] < cap[c]:
                 a = m = free & ~r
-                if caps is not None and size[c] + a.bit_count() < cap[c]:
-                    return False
                 for table in nbhd:
                     if not m:
                         break
                     r |= table[m & 255]
                     m >>= 8
+                if capped:
+                    # slack: how many of the vertices in a class c can leave out
+                    slack = size[c] + a.bit_count() - cap[c]
+                    if slack < 0:
+                        return False
+                    # class c is independent, so it leaves out an end of each
+                    # edge of a greedy matching in G[a].  Only the vertices of
+                    # a with a neighbour in a can be matched (a & r, as r is
+                    # blocked[c] | N(a)), at most half of them, so the
+                    # matching runs only when it can cut.
+                    s = a & r
+                    if s.bit_count() >> 1 > slack:
+                        while s:
+                            u = s & -s
+                            s ^= u
+                            e = s & adj[u.bit_length() - 1]
+                            if e:
+                                s ^= e & -e
+                                slack -= 1
+                                if slack < 0:
+                                    return False
             else:
                 a = 0
             avail.append(a)

@@ -230,6 +230,9 @@ def test_family_cap_checked_before_building(monkeypatch, tmp_path):
     # an n the family rejects is still reported as such, cap or no cap
     code, _, err = run_cli("phi", "--family", "cycle", "--n", "2", "--max-n", "1")
     assert (code, err) == (2, "error: cycle requires n >= 3\n")
+    for family in ("sunlet", "closed-ladder"):
+        code, out, err = run_cli("stats", "--family", family, "--n", "2")
+        assert (code, out, err) == (2, "", f"error: {family} requires cycle length n >= 3\n")
     # --colouring has no cap, so its graph is built whatever its size
     monkeypatch.setattr(b.graphs, "build_graph", real)
     target = tmp_path / "path40.txt"

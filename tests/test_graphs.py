@@ -129,6 +129,11 @@ def test_parameter_minimums_enforced():
         b.path(0)
     with pytest.raises(GraphError):
         b.complete_bipartite(0, 2)
+    # built on a cycle, whose own error would name the wrong family
+    with pytest.raises(GraphError, match="^sunlet requires cycle length n >= 3$"):
+        b.sunlet(2)
+    with pytest.raises(GraphError, match="^closed-ladder requires cycle length n >= 3$"):
+        b.closed_ladder(2)
 
 
 def test_random_connected_graph_deterministic():
