@@ -19,7 +19,11 @@ Two independent routes are provided:
   distinct b-vertices), each a condition every completion must meet, so
   its answers are exact.  The independence cut uses that a colour class
   takes at most one end of each edge of a matching among the vertices
-  that may still join it;
+  that may still join it.  The search is a generator that pauses every
+  _SLICE_NODES nodes: chi and phi race it in degree order against a
+  neighbourhood-clustered order, in alternating slices, and take the
+  first answer, since no static order wins on every graph; the scan and
+  realize run it in degree order alone;
 
 * the naive oracle (`enumerate_b_colourings`, `naive_b_chromatic_number`,
   `naive_extremal`), which walks every labelled colouring in lexicographic
@@ -34,15 +38,17 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Generator, Iterator, Sequence
 
 from .graphs import Graph
 from .stats import ChromaStats, Colouring, stats_from_strengths
 
 DEFAULT_SEARCH_CAP = 32
 DEFAULT_ORACLE_CAP = 12
+_SLICE_NODES = 1024  # search nodes a walk explores between turns
 
 
 class SearchCapError(RuntimeError):
@@ -88,6 +94,20 @@ class _Prepared:
     nbhd: list[list[int]]   # nbhd[j][m] = N(m << 8j): N(S) is one lookup per byte of S
     nodes: int = 0          # search nodes explored on this graph so far
 
+    @cached_property
+    def clustered(self) -> list[int]:
+        """The second vertex order chi and phi race: order, with each vertex
+        not yet placed followed by its unplaced neighbours in order's rank.
+        Built on first use, since most queries on small graphs end inside
+        the degree-order walk's first slice."""
+        return list(dict.fromkeys(
+            u for v in self.order
+            for u in (v, *(w for w in self.order if self.adj[v] >> w & 1))))
+
+
+# a resumable search: yields between slices of nodes, returns its colouring or None
+_Walk = Generator[None, None, "list[int] | None"]
+
 
 def _prepare(g: Graph, max_n: int | None, allow_disconnected: bool) -> _Prepared:
     """Gate on the search cap and connectivity, then prepare g for the
@@ -126,11 +146,25 @@ def m_degree(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 
 def _first_k(p: _Prepared, ks: range) -> int:
-    """The first k in ks with a b-colouring of exactly k colours."""
+    """The first k in ks with a b-colouring of exactly k colours.
+
+    Each k races a free walk in p.order against one in p.clustered, one
+    slice each in turn, degree order first.  Either walk's answer, a
+    colouring or a refutation, is complete, so the first to finish
+    decides, and a query costs at most twice what the better order needs,
+    plus a slice.  No static order wins on every graph: on sunlet(15)
+    degree order spends 13.3 million phi nodes and the clustered order
+    352, while on random graphs the clustered order is the slower one."""
     for k in ks:
-        if _b_search(p, k, None) is not None:
+        if _race([_b_walk(p, p.order, k, None), _clustered_walk(p, k)]) is not None:
             return k
     raise AssertionError("unreachable: every graph has a b-colouring with chi colours")
+
+
+def _clustered_walk(p: _Prepared, k: int) -> _Walk:
+    """A free walk in p.clustered that reads the order on its first turn,
+    so that a race the degree-order walk ends in one slice never builds it."""
+    return (yield from _b_walk(p, p.clustered, k, None))
 
 
 def _chi(p: _Prepared) -> int:
@@ -179,11 +213,39 @@ def _distinct_representatives(sets: list[int]) -> bool:
     return True
 
 
+def _race(walks: list[_Walk]) -> list[int] | None:
+    """Advance the walks one slice each in turn; the first to finish gives
+    the result.  Every walk is closed on the way out, so each adds the
+    nodes it explored to p.nodes, finished or not."""
+    try:
+        while True:
+            for walk in walks:
+                try:
+                    next(walk)
+                except StopIteration as done:
+                    return done.value
+    finally:
+        for walk in walks:
+            walk.close()
+
+
 def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
               prefix: Sequence[int] = (), below: int | None = None) -> list[int] | None:
-    """First b-colouring with exactly k colours of the prepared graph p
-    found by depth-first search, or None.  The nodes it explores are
-    counted on a local and added to p.nodes once, as it returns.
+    """_b_walk in p.order, run to the end.  The scan and realize call it
+    and do not race: degree order is the better one on their capped
+    queries (family-ladder scan: 186,264 nodes, 307,543 raced; realize on
+    twenty random 16-vertex graphs: 66,201 nodes, 85,914 raced)."""
+    return _race([_b_walk(p, p.order, k, caps, prefix, below)])
+
+
+def _b_walk(p: _Prepared, order: list[int], k: int, caps: tuple[int, ...] | None,
+            prefix: Sequence[int] = (), below: int | None = None) -> _Walk:
+    """Generator: depth-first search for the first b-colouring with
+    exactly k colours of the prepared graph p, colouring vertices in
+    order.  It yields after each _SLICE_NODES nodes, so that walks can take
+    turns, and returns the colouring or None.  The nodes it explores are
+    counted on a local and added to p.nodes at each yield and when the walk
+    returns or is closed.
 
     caps fixes each colour class size exactly (caps[i] is the size of
     class i+1, and sum(caps) must equal n); None leaves sizes free.  caps
@@ -192,12 +254,12 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
     0..len(prefix)-1: they are the starting state, first tested by the
     cuts together with the next vertex placed (alone, as one node, when it
     colours every vertex), and only completions of it are searched.  The
-    other vertices are coloured in p.order and take colours in ascending
+    other vertices are coloured in order and take colours in ascending
     label order; of two labels with equal caps that are both still empty,
     only the lower may open, since swapping them maps any completion onto
     another.  So with the identity vertex order the first solution is the
     lexicographically smallest completion.  When below is given, vertex
-    j = len(prefix) is coloured first, ahead of the rest of p.order, and
+    j = len(prefix) is coloured first, ahead of the rest of order, and
     only with colours 1..below-1, so the first solution gives j the
     smallest such colour that any completion allows.
 
@@ -235,7 +297,6 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
     blocked = [0] * k
     colours = range(k)
     capped = caps is not None
-    nodes = 0
 
     def feasible(free: int) -> bool:
         avail = []
@@ -300,7 +361,7 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
         members[c] |= 1 << v
         blocked[c] |= adj[v]
     j = len(prefix)
-    rest = [v for v in p.order if v > j or v == j and below is None]
+    rest = [v for v in order if v > j or v == j and below is None]
     if below is not None:
         rest.insert(0, j)
     m = len(rest)
@@ -308,50 +369,55 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
     uncoloured = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         uncoloured[i] = uncoloured[i + 1] | 1 << rest[i]
-    if not rest:  # a complete prefix is checked as a colouring
-        p.nodes += 1
-        if not feasible(0):
-            return None
+    nodes = 0
+    try:
+        if not rest:  # a complete prefix is checked as a colouring
+            nodes = 1
+            if not feasible(0):
+                return None
 
-    held = [0] * m   # held[i]: the colour rest[i] holds
-    saved = [0] * m  # saved[i]: blocked[held[i]] before rest[i] joined it
-    i = c = 0        # the depth, and the next colour to try there
-    while i < m:
-        v = rest[i]
-        vbit = 1 << v
-        free = uncoloured[i + 1]
-        top = k if i or below is None else below - 1  # colours open at depth i
-        while c < top:
-            if not (blocked[c] & vbit or size[c] == cap[c]
-                    or c and cap[c - 1] == cap[c] and not size[c - 1] and not size[c]):
-                size[c] += 1
-                members[c] |= vbit
-                saved[i] = blocked[c]
-                blocked[c] |= adj[v]
-                nodes += 1
-                if feasible(free):
-                    break
+        held = [0] * m   # held[i]: the colour rest[i] holds
+        saved = [0] * m  # saved[i]: blocked[held[i]] before rest[i] joined it
+        i = c = 0        # the depth, and the next colour to try there
+        while i < m:
+            v = rest[i]
+            vbit = 1 << v
+            free = uncoloured[i + 1]
+            top = k if i or below is None else below - 1  # colours open at depth i
+            while c < top:
+                if not (blocked[c] & vbit or size[c] == cap[c]
+                        or c and cap[c - 1] == cap[c] and not size[c - 1] and not size[c]):
+                    size[c] += 1
+                    members[c] |= vbit
+                    saved[i] = blocked[c]
+                    blocked[c] |= adj[v]
+                    nodes += 1
+                    if nodes == _SLICE_NODES:
+                        p.nodes += nodes
+                        nodes = 0
+                        yield
+                    if feasible(free):
+                        break
+                    blocked[c] = saved[i]
+                    members[c] ^= vbit
+                    size[c] -= 1
+                c += 1
+            if c < top:
+                held[i] = c
+                i += 1
+                c = 0
+            elif i:
+                i -= 1
+                c = held[i]
                 blocked[c] = saved[i]
-                members[c] ^= vbit
+                members[c] ^= 1 << rest[i]
                 size[c] -= 1
-            c += 1
-        if c < top:
-            held[i] = c
-            i += 1
-            c = 0
-        elif i:
-            i -= 1
-            c = held[i]
-            blocked[c] = saved[i]
-            members[c] ^= 1 << rest[i]
-            size[c] -= 1
-            c += 1
-        else:
-            break
-    p.nodes += nodes
-    if i < m:
-        return None
-    return [next(c + 1 for c in colours if members[c] >> v & 1) for v in range(n)]
+                c += 1
+            else:
+                return None
+        return [next(c + 1 for c in colours if members[c] >> v & 1) for v in range(n)]
+    finally:
+        p.nodes += nodes
 
 
 def _independence_number(adj: list[int]) -> int:

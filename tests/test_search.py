@@ -161,14 +161,19 @@ def test_full_report_deterministic():
             r2.min_stats, r2.max_stats, r2.nodes_explored)
 
 
+def _gnp_draws():
+    """The 20 random-gnp benchmark draws at n = 16."""
+    rng = random.Random(16)
+    return [b.random_connected_graph(16, rng, rng.uniform(0.2, 0.35)) for _ in range(20)]
+
+
 def test_full_report_node_counts_are_pinned():
     # exact counts, so that a change to the search that moves them shows;
-    # gnp is the first random-gnp benchmark draw at n = 16
-    rng = random.Random(16)
-    p = rng.uniform(0.2, 0.35)
-    gnp = b.random_connected_graph(16, rng, p)
-    for g, nodes in ((b.wheel(10), 253), (b.sunlet(8), 3244),
-                     (b.closed_ladder(8), 5718), (gnp, 6345)):
+    # the clustered order settles phi on sunlet(11), and the phi race on
+    # the 17th draw runs several slices in each order
+    draws = _gnp_draws()
+    for g, nodes in ((b.wheel(10), 253), (b.sunlet(8), 3244), (b.closed_ladder(8), 5718),
+                     (draws[0], 6345), (b.sunlet(11), 21353), (draws[16], 18101)):
         assert b.full_report(g).nodes_explored == nodes, g
 
 
@@ -429,44 +434,90 @@ def test_distinct_representatives_matches_hall():
 
 
 def test_free_search_above_m_degree_refutes_at_the_first_node():
-    # fewer than k vertices have degree >= k - 1: the first vertex can only
-    # open class 1, and that node fails the cuts
+    # fewer than k vertices have degree >= k - 1: in degree and in
+    # clustered order, the first vertex can only open class 1, and that
+    # node fails the cuts
     checks = 0
     for _, g in _small_graphs(max_vertices=12, draws=40):
         p = search._prepare(g, None, False)
         for k in range(m_degree(g) + 1, g.n + 1):
-            p.nodes = 0
-            assert search._b_search(p, k, None) is None and p.nodes == 1, (g, k)
-            checks += 1
-    assert checks > 200
+            for order in (p.order, p.clustered):
+                p.nodes = 0
+                assert search._race([search._b_walk(p, order, k, None)]) is None, (g, k)
+                assert p.nodes == 1, (g, k, order)
+                checks += 1
+    assert checks > 400
 
+
+def test_race_is_exact():
+    # chi and phi race a degree-order walk against a clustered one for each
+    # k; the race answers each k as the degree-order walk run to the end
+    # does, and a clustered walk alone finds a b-colouring exactly then.
+    # The graphs are the small ones, the family ladder up to 24 vertices
+    # and the random-gnp draws at n = 16, whose races run up to several
+    # slices in each order; up to 12 vertices phi also equals the oracle's
+    checks = 0
+    gnp = [(f"gnp#{i}", g) for i, g in enumerate(_gnp_draws())]
+    for label, g in _small_graphs() + _small_graphs(max_vertices=24, draws=0) + gnp:
+        p = search._prepare(g, None, False)
+        found = []
+        for k in range(1, m_degree(g) + 1):
+            where = f"{label}, k={k}"
+            raced = search._race([search._b_walk(p, order, k, None)
+                                  for order in (p.order, p.clustered)])
+            assert (raced is None) == (search._b_search(p, k, None) is None), where
+            clustered = search._race([search._b_walk(p, p.clustered, k, None)])
+            assert (clustered is None) == (raced is None), where
+            for colours in (raced, clustered):
+                if colours is not None:
+                    assert b.is_b_colouring(g, b.Colouring(k, tuple(colours))), where
+            if raced is not None:
+                found.append(k)
+            checks += 1
+        assert (search._chi(p), search._phi(g, p)) == (found[0], found[-1]), label
+        if g.n <= 12:
+            assert found[-1] == b.naive_b_chromatic_number(g), label
+    assert checks > 300
+
+
+def test_odd_sunlet_phi_tail():
+    # degree order alone takes 1,476,271 and 13,286,075 phi nodes on these;
+    # the clustered walk finds a b-colouring with 4 = m_degree colours in
+    # its first slice, after the degree walk's first 1,024 nodes
+    for n, nodes in ((13, 1372), (15, 1376)):
+        g = b.sunlet(n)
+        p = search._prepare(g, None, False)
+        assert search._phi(g, p) == 4 and p.nodes == nodes, n
+        assert b.b_chromatic_number(g) == 4, n
 
 
 def test_phi_search_tries_no_k_above_m_degree(monkeypatch):
-    # the first random-gnp benchmark draw at n = 16
-    rng = random.Random(16)
-    p = rng.uniform(0.2, 0.35)
-    gnp = b.random_connected_graph(16, rng, p)
-    real = search._b_search
-    tried = []
+    gnp = _gnp_draws()[0]
+    real = search._b_walk
+    tried = []  # (k, whether the walk is in the clustered order) per walk started
 
-    def recording(p, k, caps, prefix=(), below=None):
-        tried.append(k)
-        return real(p, k, caps, prefix, below)
+    def recording(p, order, k, caps, prefix=(), below=None):
+        tried.append((k, order is p.clustered))
+        return real(p, order, k, caps, prefix, below)
 
-    monkeypatch.setattr(search, "_b_search", recording)
-    for g in (b.wheel(10), b.wheel(30), gnp):
+    monkeypatch.setattr(search, "_b_walk", recording)
+    clustered_walks = 0
+    for g in (b.wheel(10), b.wheel(30), gnp, b.sunlet(11)):
         tried.clear()
-        b.b_chromatic_number(g)
+        phi = b.b_chromatic_number(g)
+        # phi starts a degree-order walk for each k from m_degree down to
+        # phi, and a clustered walk for a k that one slice does not settle
+        assert [k for k, clustered in tried if not clustered] == \
+            list(range(m_degree(g), phi - 1, -1)), (g.n, tried)
+        assert {k for k, clustered in tried if clustered} <= set(range(phi, m_degree(g) + 1))
+        clustered_walks += sum(clustered for _, clustered in tried)
         b.full_report(g)
-        assert tried and max(tried) <= m_degree(g), (g.n, sorted(set(tried)))
+        assert max(k for k, _ in tried) <= m_degree(g), (g.n, sorted(set(tried)))
+    assert clustered_walks
 
 
 def test_realize_searches_at_most_once_per_vertex(monkeypatch):
-    # the first random-gnp benchmark draw at n = 16
-    rng = random.Random(16)
-    p = rng.uniform(0.2, 0.35)
-    gnp = b.random_connected_graph(16, rng, p)
+    gnp = _gnp_draws()[0]
     real = search._b_search
     calls = []
 
