@@ -5,7 +5,8 @@ Two tables are kept side by side:
 * ``printed_value`` evaluates the published case-split formulas exactly as
   printed, including their slips;
 * ``corrected_value`` evaluates the forms certified by exhaustive search
-  (naive enumeration through 14 vertices, pruned exact search beyond).
+  (naive enumeration through 12 vertices, the oracle's cap; beyond it the
+  pruned exact search, which matches the enumeration wherever both run).
 
 Wherever the two disagree the discrepancy is a registered erratum.  One row
 of ``ERRATA_REGISTRY`` (n-condition, corrected formula, note) is the only

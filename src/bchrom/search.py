@@ -26,9 +26,13 @@ Two independent routes are provided:
   realize run it in degree order alone;
 
 * the naive oracle (`enumerate_b_colourings`, `naive_b_chromatic_number`,
-  `naive_extremal`), which walks every labelled colouring in lexicographic
-  order with no optimisation-aware pruning, and is used by the test suite
-  to certify the pruned route.
+  `naive_extremal`), which walks every proper labelled colouring in
+  lexicographic order, pruning on propriety alone and testing the
+  b-condition only on complete assignments, and is used by the test suite
+  to certify the pruned route.  Its enumerator shares no code with the
+  pruned search beyond `Graph`, `Colouring` and the cap check, so that the
+  two stay independent; its phi starts at the m_degree bound, which is
+  checked against the unfiltered enumeration.
 
 All statistics are exact rationals.
 """
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
@@ -93,16 +97,27 @@ class _Prepared:
     order: list[int]        # the vertex order the search colours in
     nbhd: list[list[int]]   # nbhd[j][m] = N(m << 8j): N(S) is one lookup per byte of S
     nodes: int = 0          # search nodes explored on this graph so far
+    eligible: dict[int, int] = field(default_factory=dict)  # k -> vertices of degree >= k - 1
 
     @cached_property
     def clustered(self) -> list[int]:
         """The second vertex order chi and phi race: order, with each vertex
         not yet placed followed by its unplaced neighbours in order's rank.
         Built on first use, since most queries on small graphs end inside
-        the degree-order walk's first slice."""
+        the degree-order walk's first slice.  Each vertex's neighbours are
+        read off its bitmask, so the build is near-linear in the edges."""
+        rank = {v: i for i, v in enumerate(self.order)}
         return list(dict.fromkeys(
             u for v in self.order
-            for u in (v, *(w for w in self.order if self.adj[v] >> w & 1))))
+            for u in (v, *sorted(_vertices(self.adj[v]), key=rank.get))))
+
+
+def _vertices(mask: int) -> Iterator[int]:
+    """The vertices in a bitmask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # a resumable search: yields between slices of nodes, returns its colouring or None
@@ -290,7 +305,9 @@ def _b_walk(p: _Prepared, order: list[int], k: int, caps: tuple[int, ...] | None
     adj, nbhd = p.adj, p.nbhd
     n = len(adj)
     cap = [n] * k if caps is None else list(caps)
-    eligible = sum(1 << v for v in range(n) if adj[v].bit_count() >= k - 1)
+    eligible = p.eligible.get(k)
+    if eligible is None:  # built once per prepared graph and k
+        eligible = p.eligible[k] = sum(1 << v for v in range(n) if adj[v].bit_count() >= k - 1)
 
     size = [0] * k
     members = [0] * k
@@ -568,54 +585,69 @@ def full_report(g: Graph, max_n: int | None = None,
 
 def enumerate_b_colourings(g: Graph, k: int, max_n: int | None = None) -> Iterator[Colouring]:
     """Every labelled b-colouring of g with exactly k colours, exactly once,
-    in lexicographic order of the assignment vector.
+    in lexicographic order of the assignment vector.  The cap and k are
+    checked at the call, before the first colouring is asked for.
 
-    Deliberately unoptimised: vertices are filled in index order, only
-    propriety is enforced during descent, and the b-condition is checked on
-    complete assignments.  Serves as the independent oracle for the pruned
-    search.
+    Deliberately unoptimised: it visits every proper colouring with colours
+    1..k, filling vertices in index order and trying colours in ascending
+    order; propriety is its only pruning, and the b-condition (which
+    implies surjectivity) is tested only on complete assignments.  It
+    shares no code with the pruned search, so it serves as the independent
+    oracle that certifies it.
     """
     _check_caps(g.n, max_n, DEFAULT_ORACLE_CAP)
     if k < 1:
         raise ValueError("colour count must be >= 1")
+    return _proper_colourings_walk(g, k)
+
+
+def _proper_colourings_walk(g: Graph, k: int) -> Iterator[Colouring]:
+    """enumerate_b_colourings' loop over an explicit stack.  Colours are
+    bits (colour c is 1 << (c - 1)).  Depth v keeps the colours vertex v
+    has yet to try, those that no earlier neighbour holds, and a complete
+    assignment is a b-colouring when each class has a vertex whose own and
+    neighbours' colours make up all k bits (only vertices of degree >=
+    k - 1 can)."""
     n = g.n
-    adj = [sorted(w - 1 for w in g.adjacency[v]) for v in g.vertices()]
     full = (1 << k) - 1
-    col = [0] * n
-    size = [0] * (k + 1)
-    nbr_cnt = [[0] * (k + 1) for _ in range(n)]
-    nbr_mask = [0] * n
-
-    def rec(v: int) -> Iterator[Colouring]:
-        if v == n:
-            if any(size[c] == 0 for c in range(1, k + 1)):
+    earlier = [[u for u in nbrs if u < v] for v, nbrs in enumerate(g.adjacency)]
+    candidates = [(v, g.adjacency[v]) for v in g.vertices() if g.degree(v) >= k - 1]
+    bits = [0] * (n + 1)     # bits[v]: the colour vertex v holds
+    # to_try[v]: the colours vertex v has yet to try; depth 0 is a root with
+    # one branch, so the walk ends when it backs up to the root
+    to_try = [1] * (n + 1)
+    v = 0
+    while True:
+        left = to_try[v]
+        if not left:
+            if not v:
                 return
-            for c in range(1, k + 1):
-                need = full & ~(1 << (c - 1))
-                if not any(nbr_mask[u] & need == need
-                           for u in range(n) if col[u] == c):
-                    return
-            yield Colouring(k, tuple(col))
-            return
-        for c in range(1, k + 1):
-            cbit = 1 << (c - 1)
-            if nbr_mask[v] & cbit:
-                continue
-            col[v] = c
-            size[c] += 1
-            for u in adj[v]:
-                nbr_cnt[u][c] += 1
-                if nbr_cnt[u][c] == 1:
-                    nbr_mask[u] |= cbit
-            yield from rec(v + 1)
-            for u in adj[v]:
-                nbr_cnt[u][c] -= 1
-                if nbr_cnt[u][c] == 0:
-                    nbr_mask[u] &= ~cbit
-            size[c] -= 1
-            col[v] = 0
-
-    return rec(0)
+            v -= 1
+            continue
+        bit = left & -left
+        to_try[v] = left ^ bit
+        bits[v] = bit
+        if v < n:
+            v += 1
+            taken = 0
+            for u in earlier[v]:
+                taken |= bits[u]
+            to_try[v] = full & ~taken
+            continue
+        settled = 0  # the classes that have a b-vertex
+        for u, nbrs in candidates:
+            own = bits[u]
+            if not settled & own:
+                seen = own
+                for w in nbrs:
+                    seen |= bits[w]
+                if seen == full:
+                    settled |= own
+        if settled == full:
+            # built from a list of known length: a tuple built straight from
+            # an iterator is sized by reallocation, and the freed ones pile
+            # up on CPython's tuple free list, up to 2,000 of each length
+            yield Colouring(k, tuple([*map(int.bit_length, bits[1:])]))
 
 
 def naive_b_chromatic_number(g: Graph, max_n: int | None = None) -> int:

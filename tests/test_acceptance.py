@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, printing a PASS/FAIL line each.
 
 Every expected value below was derived by brute force before being frozen:
-naive enumeration certifies each closed-form instance through 14 vertices,
-and the pruned search (itself checked against the enumeration on every
-instance through 12 vertices plus the random corpus) covers the rest.
+naive enumeration certifies each closed-form instance up to the oracle's
+12-vertex cap, and the pruned search (itself checked against the
+enumeration on every one of those instances plus the random corpus)
+covers the rest.
 Printed-table rows that brute force refutes are asserted in criterion 2
 with their oracle values rather than in criterion 1; the registered errata
 table is the single source of truth for which rows those are.

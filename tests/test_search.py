@@ -64,6 +64,31 @@ def test_enumerate_is_lexicographic_and_valid():
     assert all(b.is_b_colouring(g, c) for c in seen)
 
 
+def test_enumerate_matches_filtering_every_assignment():
+    # a third reference that shares no code with the enumerator: every
+    # assignment in lexicographic order, kept when it is a b-colouring.
+    # Six-vertex graphs cost about 0.3 s each, so four of them are kept
+    checks = 0
+    six = {"wheel(5)", "sunlet(3)", "closed-ladder(3)", "random#9"}
+    for label, g in _small_graphs():
+        if g.n > 5 and label not in six:
+            continue
+        for k in range(1, g.n + 1):
+            expected = [b.Colouring(k, a) for a in product(range(1, k + 1), repeat=g.n)
+                        if b.is_b_colouring(g, b.Colouring(k, a))]
+            assert list(b.enumerate_b_colourings(g, k)) == expected, (label, k)
+            checks += bool(expected)
+    assert checks >= 40
+
+
+def test_enumerate_validates_at_the_call():
+    # the cap and k are checked before the first colouring is asked for
+    with pytest.raises(SearchCapError):
+        b.enumerate_b_colourings(b.path(13), 3)
+    with pytest.raises(ValueError, match="colour count"):
+        b.enumerate_b_colourings(b.path(3), 0)
+
+
 def test_min_mean_examples():
     _, st = b.min_mean_b_colouring(b.path(6), 3)
     assert st.mean == F(5, 3) and st.variance == F(5, 9)
@@ -447,6 +472,18 @@ def test_free_search_above_m_degree_refutes_at_the_first_node():
                 assert p.nodes == 1, (g, k, order)
                 checks += 1
     assert checks > 400
+
+
+def test_clustered_order_matches_the_neighbour_scan():
+    # the clustered order reads each vertex's neighbours off its bitmask;
+    # it must equal the scan of order for neighbours that defined it
+    graphs = _small_graphs() + _small_graphs(max_vertices=32, draws=0)
+    for label, g in graphs + [("path(200)", b.path(200))]:
+        p = search._prepare(g, g.n, False)
+        scan = list(dict.fromkeys(
+            u for v in p.order
+            for u in (v, *(w for w in p.order if p.adj[v] >> w & 1))))
+        assert p.clustered == scan, label
 
 
 def test_race_is_exact():
