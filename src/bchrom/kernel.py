@@ -1,0 +1,311 @@
+"""The b-colouring search kernel: one prepared graph, and the depth-first
+walk for a b-colouring with exactly k colours that chi, phi, the candidate
+scan and realize all run on it (`_b_walk` gives its state and its cuts).
+The walk pauses every _SLICE_NODES nodes, and _b_search is the one loop
+that drives it, so a check made there runs once per slice and puts no
+code into the hot loop.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Generator, Sequence
+
+from .graphs import Graph
+
+_SLICE_NODES = 1024  # search nodes a walk explores between pauses
+
+
+@dataclass
+class _Prepared:
+    """One graph as every search phase on it sees it."""
+
+    adj: list[int]          # adj[v]: neighbour bitmask of v (bit u set when u ~ v, 0-based)
+    order: list[int]        # the vertex order the search colours in
+    nbhd: list[list[int]]   # nbhd[j][m] = N(m << 8j): N(S) is one lookup per byte of S
+    nodes: int = 0          # search nodes explored on this graph so far
+    # k -> (the vertices of degree >= k - 1, slack[v] = deg(v) + 1 - k for each v)
+    slack: dict[int, tuple[int, list[int]]] = field(default_factory=dict)
+
+
+def _build(g: Graph) -> _Prepared:
+    """g's bitmasks and byte tables, in degree-descending vertex order
+    (ties by index)."""
+    adj = [sum(1 << (w - 1) for w in g.adjacency[v]) for v in g.vertices()]
+    nbhd = []
+    for base in range(0, g.n, 8):
+        table = [0]
+        for u in range(base, min(base + 8, g.n)):
+            table += [m | adj[u] for m in table]
+        nbhd.append(table)
+    order = sorted(range(g.n), key=lambda v: (-adj[v].bit_count(), v))
+    return _Prepared(adj, order, nbhd)
+
+
+def _distinct_representatives(sets: list[int]) -> bool:
+    """True when every bitmask in sets can be given a bit of its own that
+    no other set is given, found by augmenting paths."""
+    # most calls are settled by taking each set's lowest untaken bit
+    taken = 0
+    for s in sets:
+        free = s & ~taken
+        if not free:
+            break
+        taken |= free & -free
+    else:
+        return True
+    owner: dict[int, int] = {}  # bit -> index of the set it represents
+    seen = 0
+
+    def augment(i: int) -> bool:
+        # a set deeper on the path needs no bit of sets[i]: set i could
+        # take that bit itself, so all of them are marked seen at once
+        nonlocal seen
+        rest = sets[i] & ~seen
+        seen |= sets[i]
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            if b not in owner or augment(owner[b]):
+                owner[b] = i
+                return True
+        return False
+
+    for i in range(len(sets)):
+        seen = 0
+        if not augment(i):
+            return False
+    return True
+
+
+def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
+              prefix: Sequence[int] = (), below: int | None = None) -> list[int] | None:
+    """_b_walk run to the end, one slice at a time."""
+    walk = _b_walk(p, k, caps, prefix, below)
+    while True:
+        try:
+            next(walk)
+        except StopIteration as done:
+            return done.value
+
+
+def _b_walk(p: _Prepared, k: int, caps: tuple[int, ...] | None,
+            prefix: Sequence[int] = (), below: int | None = None,
+            ) -> Generator[None, None, list[int] | None]:
+    """Generator: depth-first search for the first b-colouring with
+    exactly k colours of the prepared graph p, colouring vertices in
+    p.order.  It yields after each _SLICE_NODES nodes and returns the
+    colouring or None.  The nodes it explores are counted on a local and
+    added to p.nodes at each yield and when the walk returns or is closed.
+
+    caps fixes each colour class size exactly (caps[i] is the size of
+    class i+1, and sum(caps) must equal n); None leaves sizes free.  caps
+    must be monotone (non-increasing or non-decreasing), so that labels
+    with equal caps are adjacent.  prefix fixes the colours of vertices
+    0..len(prefix)-1: they are the starting state, first tested by the
+    cuts together with the next vertex placed (alone, as one node, when it
+    colours every vertex), and only completions of it are searched.  The
+    other vertices are coloured in order and take colours in ascending
+    label order; of two labels with equal caps that are both still empty,
+    only the lower may open, since swapping them maps any completion onto
+    another.  So with the identity vertex order the first solution is the
+    lexicographically smallest completion.  When below is given, vertex
+    j = len(prefix) is coloured first, ahead of the rest of order, and
+    only with colours 1..below-1, so the first solution gives j the
+    smallest such colour that any completion allows.
+
+    The state is colour-major: per class c, the vertex mask members[c] and
+    blocked[c], the vertices adjacent to class c.  A vertex may still join c
+    when it is uncoloured, outside blocked[c], and c is under its cap; it
+    can still see colour d when it is in blocked[d] or is adjacent to a
+    vertex that may still join d.  A b-vertex candidate of c is a live
+    vertex that is in c or may still join it, and that can still see every
+    other colour.  Live means slack[u] >= 0, where
+
+        slack[u] = |N(u) & uncoloured| + 1 - #colours u does not see yet:
+
+    a b-vertex gets each colour it does not see yet, its own aside, from a
+    different neighbour that is uncoloured now, so a vertex with negative
+    slack is no class's b-vertex.  At the start slack[u] = deg(u) + 1 - k,
+    so the live vertices are those of degree >= k - 1.  Placing x in class
+    c lowers by 1 the slack of each u in N(x) & blocked[c] (blocked[c]
+    taken before x joins): u loses an uncoloured neighbour and already saw
+    c.  Every other u in N(x) loses an uncoloured neighbour and sees c
+    anew, and no other slack changes, so slack only falls along a path.
+    Five cuts drop a branch:
+      * some class has no b-vertex candidate left;
+      * a vertex whose slack fell below 0 is no class's candidate (the
+        counting cut, one mask for every class);
+      * in capped mode, some class can no longer be filled to its cap;
+      * in capped mode, some class cannot reach its cap and stay
+        independent: with mu disjoint edges among the vertices that may
+        still join it, at most one end of each can, so it can grow by at
+        most their number less mu;
+      * the classes whose candidates are all uncoloured cannot be given
+        distinct candidates (a class with a coloured candidate is settled;
+        one vertex is the b-vertex of one class only).
+    Every cut is a condition that each completion meets, optimistic about
+    uncoloured vertices, so it prunes only subtrees without a solution:
+    refutations are exact and the first solution is the one an uncut
+    search would find.  The search is a loop over an explicit stack, so
+    its depth is not bounded by Python's recursion limit: depth i keeps
+    the colour its vertex holds, the blocked mask of that colour from
+    before the vertex joined it and the live vertices whose slack it
+    lowered, and undoes all three on the way back.
+    """
+    adj, nbhd = p.adj, p.nbhd
+    n = len(adj)
+    cap = [n] * k if caps is None else list(caps)
+    known = p.slack.get(k)
+    if known is None:  # built once per prepared graph and k
+        base = [a.bit_count() + 1 - k for a in adj]
+        known = p.slack[k] = (sum(1 << v for v in range(n) if base[v] >= 0), base)
+    live, slack = known[0], known[1].copy()
+
+    size = [0] * k
+    members = [0] * k
+    blocked = [0] * k
+    colours = range(k)
+    capped = caps is not None
+
+    def feasible(free: int, live: int) -> bool:
+        avail = []
+        reach = []
+        for c in colours:
+            r = blocked[c]
+            if size[c] < cap[c]:
+                a = m = free & ~r
+                for table in nbhd:
+                    if not m:
+                        break
+                    r |= table[m & 255]
+                    m >>= 8
+                if capped:
+                    # spare: how many of the vertices in a class c can leave out
+                    spare = size[c] + a.bit_count() - cap[c]
+                    if spare < 0:
+                        return False
+                    # class c is independent, so it leaves out an end of each
+                    # edge of a greedy matching in G[a].  Only the vertices of
+                    # a with a neighbour in a can be matched (a & r, as r is
+                    # blocked[c] | N(a)), at most half of them, so the
+                    # matching runs only when it can cut.
+                    s = a & r
+                    if s.bit_count() >> 1 > spare:
+                        while s:
+                            u = s & -s
+                            s ^= u
+                            e = s & adj[u.bit_length() - 1]
+                            if e:
+                                s ^= e & -e
+                                spare -= 1
+                                if spare < 0:
+                                    return False
+            else:
+                a = 0
+            avail.append(a)
+            reach.append(r)
+        # candidates of c: AND of reach[d] over d != c, as the AND over
+        # d < c (below) and the AND over d > c (above[c])
+        above = [live] * k
+        for d in range(k - 1, 0, -1):
+            above[d - 1] = above[d] & reach[d]
+        below = live
+        unsettled = []
+        for c in colours:
+            cand = (members[c] | avail[c]) & below & above[c]
+            if not cand:
+                return False
+            if not cand & members[c]:
+                unsettled.append(cand)
+            below &= reach[c]
+        return len(unsettled) < 2 or _distinct_representatives(unsettled)
+
+    # the prefix is the starting state; an improper or overfull one has
+    # no completion
+    for v, c in enumerate(prefix):
+        c -= 1
+        r = blocked[c]
+        if r >> v & 1 or size[c] == cap[c]:
+            return None
+        size[c] += 1
+        members[c] |= 1 << v
+        blocked[c] = r | adj[v]
+        h = adj[v] & r & live  # the live neighbours of v that already saw c
+        while h:
+            u = h & -h
+            h ^= u
+            w = u.bit_length() - 1
+            slack[w] -= 1
+            if slack[w] < 0:
+                live ^= u
+    j = len(prefix)
+    rest = [v for v in p.order if v > j or v == j and below is None]
+    if below is not None:
+        rest.insert(0, j)
+    m = len(rest)
+    # uncoloured[i]: the vertices left uncoloured once rest[:i] is coloured
+    uncoloured = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        uncoloured[i] = uncoloured[i + 1] | 1 << rest[i]
+    nodes = 0
+    try:
+        if not rest:  # a complete prefix is checked as a colouring
+            nodes = 1
+            if not feasible(0, live):
+                return None
+
+        held = [0] * m   # held[i]: the colour rest[i] holds
+        saved = [0] * m  # saved[i]: blocked[held[i]] before rest[i] joined it
+        lost = [0] * m   # lost[i]: the live vertices whose slack rest[i] lowered
+        i = c = 0        # the depth, and the next colour to try there
+        while i < m:
+            v = rest[i]
+            vbit = 1 << v
+            top = k if i or below is None else below - 1  # colours open at depth i
+            while c < top and (blocked[c] & vbit or size[c] == cap[c]
+                               or c and cap[c - 1] == cap[c] and not size[c - 1] and not size[c]):
+                c += 1
+            if c < top:
+                size[c] += 1
+                members[c] |= vbit
+                saved[i] = r = blocked[c]
+                blocked[c] = r | adj[v]
+                lost[i] = h = adj[v] & r & live
+                while h:
+                    u = h & -h
+                    h ^= u
+                    w = u.bit_length() - 1
+                    slack[w] -= 1
+                    if slack[w] < 0:
+                        live ^= u
+                nodes += 1
+                if nodes == _SLICE_NODES:
+                    p.nodes += nodes
+                    nodes = 0
+                    yield
+                if feasible(uncoloured[i + 1], live):
+                    held[i] = c
+                    i += 1
+                    c = 0
+                    continue
+            elif i:  # no colour left at depth i: back up to depth i - 1
+                i -= 1
+                c = held[i]
+                v = rest[i]
+            else:
+                return None
+            # undo v's place in class c, then try the next colour at depth i
+            blocked[c] = saved[i]
+            members[c] ^= 1 << v
+            size[c] -= 1
+            h = lost[i]
+            live |= h
+            while h:
+                u = h & -h
+                h ^= u
+                slack[u.bit_length() - 1] += 1
+            c += 1
+        return [next(c + 1 for c in colours if members[c] >> v & 1) for v in range(n)]
+    finally:
+        p.nodes += nodes

@@ -12,18 +12,17 @@ Two independent routes are provided:
   smallest assignment with its sizes, fixing one vertex at a time to the
   smallest colour the capped search can still complete, in one search
   per vertex.  chi, phi, the scan and the realize step all run that one
-  b-colouring search: chi is the least k with a b-colouring, because a
-  proper colouring with chi colours is always a b-colouring (Irving &
-  Manlove 1999).  The search works on vertex bitmasks and prunes with
-  four cuts (no b-vertex, cap unfillable, class cannot stay independent,
-  distinct b-vertices), each a condition every completion must meet, so
-  its answers are exact.  The independence cut uses that a colour class
-  takes at most one end of each edge of a matching among the vertices
-  that may still join it.  The search is a generator that pauses every
-  _SLICE_NODES nodes: chi and phi race it in degree order against a
-  neighbourhood-clustered order, in alternating slices, and take the
-  first answer, since no static order wins on every graph; the scan and
-  realize run it in degree order alone;
+  b-colouring search, the kernel in `kernel.py`: chi is the least k with
+  a b-colouring, because a proper colouring with chi colours is always a
+  b-colouring (Irving & Manlove 1999).  The kernel works on vertex
+  bitmasks and prunes with five cuts (no b-vertex, too little slack, cap
+  unfillable, class cannot stay independent, distinct b-vertices), each
+  a condition every completion must meet, so its answers are exact.  The
+  counting cut uses that a b-vertex gets each colour it does not see yet
+  from a different uncoloured neighbour; the independence cut, that a
+  colour class takes at most one end of each edge of a matching among
+  the vertices that may still join it.  Every phase runs the kernel in
+  degree order alone;
 
 * the naive oracle (`enumerate_b_colourings`, `naive_b_chromatic_number`,
   `naive_extremal`), which walks every proper labelled colouring in
@@ -41,18 +40,17 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
-from typing import Generator, Iterator, Sequence
+from typing import Iterator
 
 from .graphs import Graph
+from .kernel import _b_search, _build, _Prepared
 from .stats import ChromaStats, Colouring, stats_from_strengths
 
 DEFAULT_SEARCH_CAP = 32
 DEFAULT_ORACLE_CAP = 12
-_SLICE_NODES = 1024  # search nodes a walk explores between turns
 
 
 class SearchCapError(RuntimeError):
@@ -89,57 +87,14 @@ def _check_caps(n: int, max_n: int | None, default: int) -> None:
         raise SearchCapError(f"graph has {n} vertices, cap is {cap}")
 
 
-@dataclass
-class _Prepared:
-    """One graph as every search phase on it sees it."""
-
-    adj: list[int]          # adj[v]: neighbour bitmask of v (bit u set when u ~ v, 0-based)
-    order: list[int]        # the vertex order the search colours in
-    nbhd: list[list[int]]   # nbhd[j][m] = N(m << 8j): N(S) is one lookup per byte of S
-    nodes: int = 0          # search nodes explored on this graph so far
-    eligible: dict[int, int] = field(default_factory=dict)  # k -> vertices of degree >= k - 1
-
-    @cached_property
-    def clustered(self) -> list[int]:
-        """The second vertex order chi and phi race: order, with each vertex
-        not yet placed followed by its unplaced neighbours in order's rank.
-        Built on first use, since most queries on small graphs end inside
-        the degree-order walk's first slice.  Each vertex's neighbours are
-        read off its bitmask, so the build is near-linear in the edges."""
-        rank = {v: i for i, v in enumerate(self.order)}
-        return list(dict.fromkeys(
-            u for v in self.order
-            for u in (v, *sorted(_vertices(self.adj[v]), key=rank.get))))
-
-
-def _vertices(mask: int) -> Iterator[int]:
-    """The vertices in a bitmask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-# a resumable search: yields between slices of nodes, returns its colouring or None
-_Walk = Generator[None, None, "list[int] | None"]
-
-
 def _prepare(g: Graph, max_n: int | None, allow_disconnected: bool) -> _Prepared:
     """Gate on the search cap and connectivity, then prepare g for the
-    search, in degree-descending vertex order (ties by index)."""
+    kernel."""
     _check_caps(g.n, max_n, DEFAULT_SEARCH_CAP)
     if not allow_disconnected and not g.connected:
         raise DisconnectedGraphError(
             "graph is disconnected; pass allow_disconnected=True to override")
-    adj = [sum(1 << (w - 1) for w in g.adjacency[v]) for v in g.vertices()]
-    nbhd = []
-    for base in range(0, g.n, 8):
-        table = [0]
-        for u in range(base, min(base + 8, g.n)):
-            table += [m | adj[u] for m in table]
-        nbhd.append(table)
-    order = sorted(range(g.n), key=lambda v: (-adj[v].bit_count(), v))
-    return _Prepared(adj, order, nbhd)
+    return _build(g)
 
 
 def m_degree(g: Graph) -> int:
@@ -161,25 +116,12 @@ def m_degree(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 
 def _first_k(p: _Prepared, ks: range) -> int:
-    """The first k in ks with a b-colouring of exactly k colours.
-
-    Each k races a free walk in p.order against one in p.clustered, one
-    slice each in turn, degree order first.  Either walk's answer, a
-    colouring or a refutation, is complete, so the first to finish
-    decides, and a query costs at most twice what the better order needs,
-    plus a slice.  No static order wins on every graph: on sunlet(15)
-    degree order spends 13.3 million phi nodes and the clustered order
-    352, while on random graphs the clustered order is the slower one."""
+    """The first k in ks with a b-colouring of exactly k colours, each k
+    settled by one free search in degree order."""
     for k in ks:
-        if _race([_b_walk(p, p.order, k, None), _clustered_walk(p, k)]) is not None:
+        if _b_search(p, k, None) is not None:
             return k
     raise AssertionError("unreachable: every graph has a b-colouring with chi colours")
-
-
-def _clustered_walk(p: _Prepared, k: int) -> _Walk:
-    """A free walk in p.clustered that reads the order on its first turn,
-    so that a race the degree-order walk ends in one slice never builds it."""
-    return (yield from _b_walk(p, p.clustered, k, None))
 
 
 def _chi(p: _Prepared) -> int:
@@ -190,251 +132,6 @@ def _chi(p: _Prepared) -> int:
 def _phi(g: Graph, p: _Prepared) -> int:
     """b-chromatic number: k from m_degree(g) downward."""
     return _first_k(p, range(m_degree(g), 0, -1))
-
-
-def _distinct_representatives(sets: list[int]) -> bool:
-    """True when every bitmask in sets can be given a bit of its own that
-    no other set is given, found by augmenting paths."""
-    # most calls are settled by taking each set's lowest untaken bit
-    taken = 0
-    for s in sets:
-        free = s & ~taken
-        if not free:
-            break
-        taken |= free & -free
-    else:
-        return True
-    owner: dict[int, int] = {}  # bit -> index of the set it represents
-    seen = 0
-
-    def augment(i: int) -> bool:
-        # a set deeper on the path needs no bit of sets[i]: set i could
-        # take that bit itself, so all of them are marked seen at once
-        nonlocal seen
-        rest = sets[i] & ~seen
-        seen |= sets[i]
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            if b not in owner or augment(owner[b]):
-                owner[b] = i
-                return True
-        return False
-
-    for i in range(len(sets)):
-        seen = 0
-        if not augment(i):
-            return False
-    return True
-
-
-def _race(walks: list[_Walk]) -> list[int] | None:
-    """Advance the walks one slice each in turn; the first to finish gives
-    the result.  Every walk is closed on the way out, so each adds the
-    nodes it explored to p.nodes, finished or not."""
-    try:
-        while True:
-            for walk in walks:
-                try:
-                    next(walk)
-                except StopIteration as done:
-                    return done.value
-    finally:
-        for walk in walks:
-            walk.close()
-
-
-def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
-              prefix: Sequence[int] = (), below: int | None = None) -> list[int] | None:
-    """_b_walk in p.order, run to the end.  The scan and realize call it
-    and do not race: degree order is the better one on their capped
-    queries (family-ladder scan: 186,264 nodes, 307,543 raced; realize on
-    twenty random 16-vertex graphs: 66,201 nodes, 85,914 raced)."""
-    return _race([_b_walk(p, p.order, k, caps, prefix, below)])
-
-
-def _b_walk(p: _Prepared, order: list[int], k: int, caps: tuple[int, ...] | None,
-            prefix: Sequence[int] = (), below: int | None = None) -> _Walk:
-    """Generator: depth-first search for the first b-colouring with
-    exactly k colours of the prepared graph p, colouring vertices in
-    order.  It yields after each _SLICE_NODES nodes, so that walks can take
-    turns, and returns the colouring or None.  The nodes it explores are
-    counted on a local and added to p.nodes at each yield and when the walk
-    returns or is closed.
-
-    caps fixes each colour class size exactly (caps[i] is the size of
-    class i+1, and sum(caps) must equal n); None leaves sizes free.  caps
-    must be monotone (non-increasing or non-decreasing), so that labels
-    with equal caps are adjacent.  prefix fixes the colours of vertices
-    0..len(prefix)-1: they are the starting state, first tested by the
-    cuts together with the next vertex placed (alone, as one node, when it
-    colours every vertex), and only completions of it are searched.  The
-    other vertices are coloured in order and take colours in ascending
-    label order; of two labels with equal caps that are both still empty,
-    only the lower may open, since swapping them maps any completion onto
-    another.  So with the identity vertex order the first solution is the
-    lexicographically smallest completion.  When below is given, vertex
-    j = len(prefix) is coloured first, ahead of the rest of order, and
-    only with colours 1..below-1, so the first solution gives j the
-    smallest such colour that any completion allows.
-
-    The state is colour-major: per class c, the vertex mask members[c] and
-    blocked[c], the vertices adjacent to class c.  A vertex may still join c
-    when it is uncoloured, outside blocked[c], and c is under its cap; it
-    can still see colour d when it is in blocked[d] or is adjacent to a
-    vertex that may still join d.  A b-vertex candidate of c is an eligible
-    vertex (degree >= k - 1) that is in c or may still join it, and that
-    can still see every other colour.  Four cuts drop a branch:
-      * some class has no b-vertex candidate left;
-      * in capped mode, some class can no longer be filled to its cap;
-      * in capped mode, some class cannot reach its cap and stay
-        independent: with mu disjoint edges among the vertices that may
-        still join it, at most one end of each can, so it can grow by at
-        most their number less mu;
-      * the classes whose candidates are all uncoloured cannot be given
-        distinct candidates (a class with a coloured candidate is settled;
-        one vertex is the b-vertex of one class only).
-    Every cut is a condition that each completion meets, optimistic about
-    uncoloured vertices, so it prunes only subtrees without a solution:
-    refutations are exact and the first solution is the one an uncut
-    search would find.  The search is a loop over an explicit stack, so
-    its depth is not bounded by Python's recursion limit: depth i keeps
-    the colour its vertex holds and the blocked mask of that colour from
-    before the vertex joined it, and undoes both on the way back.
-    """
-    adj, nbhd = p.adj, p.nbhd
-    n = len(adj)
-    cap = [n] * k if caps is None else list(caps)
-    eligible = p.eligible.get(k)
-    if eligible is None:  # built once per prepared graph and k
-        eligible = p.eligible[k] = sum(1 << v for v in range(n) if adj[v].bit_count() >= k - 1)
-
-    size = [0] * k
-    members = [0] * k
-    blocked = [0] * k
-    colours = range(k)
-    capped = caps is not None
-
-    def feasible(free: int) -> bool:
-        avail = []
-        reach = []
-        for c in colours:
-            r = blocked[c]
-            if size[c] < cap[c]:
-                a = m = free & ~r
-                for table in nbhd:
-                    if not m:
-                        break
-                    r |= table[m & 255]
-                    m >>= 8
-                if capped:
-                    # slack: how many of the vertices in a class c can leave out
-                    slack = size[c] + a.bit_count() - cap[c]
-                    if slack < 0:
-                        return False
-                    # class c is independent, so it leaves out an end of each
-                    # edge of a greedy matching in G[a].  Only the vertices of
-                    # a with a neighbour in a can be matched (a & r, as r is
-                    # blocked[c] | N(a)), at most half of them, so the
-                    # matching runs only when it can cut.
-                    s = a & r
-                    if s.bit_count() >> 1 > slack:
-                        while s:
-                            u = s & -s
-                            s ^= u
-                            e = s & adj[u.bit_length() - 1]
-                            if e:
-                                s ^= e & -e
-                                slack -= 1
-                                if slack < 0:
-                                    return False
-            else:
-                a = 0
-            avail.append(a)
-            reach.append(r)
-        # candidates of c: AND of reach[d] over d != c, as the AND over
-        # d < c (below) and the AND over d > c (above[c])
-        above = [eligible] * k
-        for d in range(k - 1, 0, -1):
-            above[d - 1] = above[d] & reach[d]
-        below = eligible
-        unsettled = []
-        for c in colours:
-            cand = (members[c] | avail[c]) & below & above[c]
-            if not cand:
-                return False
-            if not cand & members[c]:
-                unsettled.append(cand)
-            below &= reach[c]
-        return len(unsettled) < 2 or _distinct_representatives(unsettled)
-
-    # the prefix is the starting state; an improper or overfull one has
-    # no completion
-    for v, c in enumerate(prefix):
-        c -= 1
-        if blocked[c] >> v & 1 or size[c] == cap[c]:
-            return None
-        size[c] += 1
-        members[c] |= 1 << v
-        blocked[c] |= adj[v]
-    j = len(prefix)
-    rest = [v for v in order if v > j or v == j and below is None]
-    if below is not None:
-        rest.insert(0, j)
-    m = len(rest)
-    # uncoloured[i]: the vertices left uncoloured once rest[:i] is coloured
-    uncoloured = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        uncoloured[i] = uncoloured[i + 1] | 1 << rest[i]
-    nodes = 0
-    try:
-        if not rest:  # a complete prefix is checked as a colouring
-            nodes = 1
-            if not feasible(0):
-                return None
-
-        held = [0] * m   # held[i]: the colour rest[i] holds
-        saved = [0] * m  # saved[i]: blocked[held[i]] before rest[i] joined it
-        i = c = 0        # the depth, and the next colour to try there
-        while i < m:
-            v = rest[i]
-            vbit = 1 << v
-            free = uncoloured[i + 1]
-            top = k if i or below is None else below - 1  # colours open at depth i
-            while c < top:
-                if not (blocked[c] & vbit or size[c] == cap[c]
-                        or c and cap[c - 1] == cap[c] and not size[c - 1] and not size[c]):
-                    size[c] += 1
-                    members[c] |= vbit
-                    saved[i] = blocked[c]
-                    blocked[c] |= adj[v]
-                    nodes += 1
-                    if nodes == _SLICE_NODES:
-                        p.nodes += nodes
-                        nodes = 0
-                        yield
-                    if feasible(free):
-                        break
-                    blocked[c] = saved[i]
-                    members[c] ^= vbit
-                    size[c] -= 1
-                c += 1
-            if c < top:
-                held[i] = c
-                i += 1
-                c = 0
-            elif i:
-                i -= 1
-                c = held[i]
-                blocked[c] = saved[i]
-                members[c] ^= 1 << rest[i]
-                size[c] -= 1
-                c += 1
-            else:
-                return None
-        return [next(c + 1 for c in colours if members[c] >> v & 1) for v in range(n)]
-    finally:
-        p.nodes += nodes
 
 
 def _independence_number(adj: list[int]) -> int:
@@ -669,23 +366,24 @@ def naive_extremal(g: Graph, k: int, max_n: int | None = None,
     """Extremal labelled b-colourings at fixed k straight off the stream.
 
     Implements the tie-break order (mean, variance, strength vector,
-    assignment) literally, with integer comparison keys.
+    assignment) literally, with integer comparison keys: the smallest
+    assignment of each strength vector, then the best vector, whose keys
+    are computed once each.
     """
-    n = g.n
-    best_min = None
-    best_max = None
-    min_col = max_col = None
+    first: dict[tuple[int, ...], Colouring] = {}  # strength vector -> its smallest colouring
     for c in enumerate_b_colourings(g, k, max_n=max_n):
         theta = c.strengths()
-        m1 = sum(i * t for i, t in enumerate(theta, start=1))
-        varkey = n * sum(i * i * t for i, t in enumerate(theta, start=1)) - m1 * m1
-        kmin = (m1, varkey, theta, c.colours)
-        kmax = (-m1, varkey, theta, c.colours)
-        if best_min is None or kmin < best_min:
-            best_min, min_col = kmin, c
-        if best_max is None or kmax < best_max:
-            best_max, max_col = kmax, c
-    if min_col is None:
+        seen = first.get(theta)
+        if seen is None or c.colours < seen.colours:
+            first[theta] = c
+    if not first:
         raise NoBColouringError(f"no b-colouring with exactly {k} colours")
-    return (min_col, stats_from_strengths(min_col.strengths()),
-            max_col, stats_from_strengths(max_col.strengths()))
+    keys = {}  # strength vector -> (min-end key, max-end key), the assignment aside
+    for theta in first:
+        m1 = sum(i * t for i, t in enumerate(theta, start=1))
+        varkey = g.n * sum(i * i * t for i, t in enumerate(theta, start=1)) - m1 * m1
+        keys[theta] = (m1, varkey, theta), (-m1, varkey, theta)
+    low = min(first, key=lambda theta: keys[theta][0])
+    high = min(first, key=lambda theta: keys[theta][1])
+    return (first[low], stats_from_strengths(low),
+            first[high], stats_from_strengths(high))

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 import bchrom as b
-from bchrom import search
+from bchrom import kernel, search
 from bchrom.closed_forms import Family, generate, sweep
 from bchrom.search import (
     DisconnectedGraphError,
@@ -193,12 +193,10 @@ def _gnp_draws():
 
 
 def test_full_report_node_counts_are_pinned():
-    # exact counts, so that a change to the search that moves them shows;
-    # the clustered order settles phi on sunlet(11), and the phi race on
-    # the 17th draw runs several slices in each order
+    # exact counts, so that a change to the search that moves them shows
     draws = _gnp_draws()
-    for g, nodes in ((b.wheel(10), 253), (b.sunlet(8), 3244), (b.closed_ladder(8), 5718),
-                     (draws[0], 6345), (b.sunlet(11), 21353), (draws[16], 18101)):
+    for g, nodes in ((b.wheel(10), 253), (b.sunlet(8), 2470), (b.closed_ladder(8), 4939),
+                     (draws[0], 5535), (b.sunlet(11), 14706), (draws[16], 6406)):
         assert b.full_report(g).nodes_explored == nodes, g
 
 
@@ -209,10 +207,10 @@ def test_independence_cut_refutes_capped_classes():
     p = search._prepare(b.cycle(32), None, False)
     assert search._b_search(p, 3, (16, 14, 2)) is None and p.nodes == 1557
     # the scan of closed_ladder(12) refutes 8 size vectors before its hit:
-    # 286,154 nodes without the cut
+    # 280,799 nodes without the cut
     p = search._prepare(b.closed_ladder(12), None, False)
     search._extremal_witnesses(p, 4)
-    assert p.nodes == 23485
+    assert p.nodes == 20620
 
 
 def test_trivial_graph_report_warns():
@@ -447,7 +445,7 @@ def test_distinct_representatives_matches_hall():
         sets = [sum(1 << i for i in range(bits) if rng.random() < density)
                 for _ in range(rng.randint(1, 7))]
         expected = _has_distinct_representatives(sets)
-        assert search._distinct_representatives(sets) == expected, sets
+        assert kernel._distinct_representatives(sets) == expected, sets
         taken = 0
         for s in sets:
             free = s & ~taken
@@ -459,56 +457,35 @@ def test_distinct_representatives_matches_hall():
 
 
 def test_free_search_above_m_degree_refutes_at_the_first_node():
-    # fewer than k vertices have degree >= k - 1: in degree and in
-    # clustered order, the first vertex can only open class 1, and that
-    # node fails the cuts
+    # fewer than k vertices have degree >= k - 1: the first vertex can
+    # only open class 1, and that node fails the cuts, in degree order and
+    # in identity order
     checks = 0
     for _, g in _small_graphs(max_vertices=12, draws=40):
         p = search._prepare(g, None, False)
         for k in range(m_degree(g) + 1, g.n + 1):
-            for order in (p.order, p.clustered):
-                p.nodes = 0
-                assert search._race([search._b_walk(p, order, k, None)]) is None, (g, k)
-                assert p.nodes == 1, (g, k, order)
+            for q in (p, replace(p, order=list(range(g.n)))):
+                q.nodes = 0
+                assert search._b_search(q, k, None) is None, (g, k)
+                assert q.nodes == 1, (g, k, q.order)
                 checks += 1
     assert checks > 400
 
 
-def test_clustered_order_matches_the_neighbour_scan():
-    # the clustered order reads each vertex's neighbours off its bitmask;
-    # it must equal the scan of order for neighbours that defined it
-    graphs = _small_graphs() + _small_graphs(max_vertices=32, draws=0)
-    for label, g in graphs + [("path(200)", b.path(200))]:
-        p = search._prepare(g, g.n, False)
-        scan = list(dict.fromkeys(
-            u for v in p.order
-            for u in (v, *(w for w in p.order if p.adj[v] >> w & 1))))
-        assert p.clustered == scan, label
-
-
-def test_race_is_exact():
-    # chi and phi race a degree-order walk against a clustered one for each
-    # k; the race answers each k as the degree-order walk run to the end
-    # does, and a clustered walk alone finds a b-colouring exactly then.
-    # The graphs are the small ones, the family ladder up to 24 vertices
-    # and the random-gnp draws at n = 16, whose races run up to several
-    # slices in each order; up to 12 vertices phi also equals the oracle's
+def test_first_k_is_exact():
+    # chi and phi are the first and the last k with a free b-colouring,
+    # each k settled by one degree-order search.  The graphs are the small
+    # ones, the family ladder up to 24 vertices and the random-gnp draws
+    # at n = 16; up to 12 vertices phi also equals the oracle's
     checks = 0
     gnp = [(f"gnp#{i}", g) for i, g in enumerate(_gnp_draws())]
     for label, g in _small_graphs() + _small_graphs(max_vertices=24, draws=0) + gnp:
         p = search._prepare(g, None, False)
         found = []
         for k in range(1, m_degree(g) + 1):
-            where = f"{label}, k={k}"
-            raced = search._race([search._b_walk(p, order, k, None)
-                                  for order in (p.order, p.clustered)])
-            assert (raced is None) == (search._b_search(p, k, None) is None), where
-            clustered = search._race([search._b_walk(p, p.clustered, k, None)])
-            assert (clustered is None) == (raced is None), where
-            for colours in (raced, clustered):
-                if colours is not None:
-                    assert b.is_b_colouring(g, b.Colouring(k, tuple(colours))), where
-            if raced is not None:
+            colours = search._b_search(p, k, None)
+            if colours is not None:
+                assert b.is_b_colouring(g, b.Colouring(k, tuple(colours))), (label, k)
                 found.append(k)
             checks += 1
         assert (search._chi(p), search._phi(g, p)) == (found[0], found[-1]), label
@@ -518,39 +495,41 @@ def test_race_is_exact():
 
 
 def test_odd_sunlet_phi_tail():
-    # degree order alone takes 1,476,271 and 13,286,075 phi nodes on these;
-    # the clustered walk finds a b-colouring with 4 = m_degree colours in
-    # its first slice, after the degree walk's first 1,024 nodes
-    for n, nodes in ((13, 1372), (15, 1376)):
+    # without the counting cut these take 1,476,271 and 13,286,075 phi
+    # nodes in degree order
+    for n, nodes in ((13, 41), (15, 45)):
         g = b.sunlet(n)
         p = search._prepare(g, None, False)
         assert search._phi(g, p) == 4 and p.nodes == nodes, n
         assert b.b_chromatic_number(g) == 4, n
 
 
+def test_random_22_vertex_phi_nodes_are_pinned():
+    # the 22-vertex draw of the random-gnp benchmark: 323,962 phi nodes
+    # when degree order raced a second order without the counting cut
+    rng = random.Random(22)
+    g = b.random_connected_graph(22, rng, rng.uniform(0.2, 0.35))
+    p = search._prepare(g, None, False)
+    assert search._phi(g, p) == 8 and p.nodes == 3384
+
+
 def test_phi_search_tries_no_k_above_m_degree(monkeypatch):
     gnp = _gnp_draws()[0]
-    real = search._b_walk
-    tried = []  # (k, whether the walk is in the clustered order) per walk started
+    real = search._b_search
+    tried = []  # the k of each search run
 
-    def recording(p, order, k, caps, prefix=(), below=None):
-        tried.append((k, order is p.clustered))
-        return real(p, order, k, caps, prefix, below)
+    def recording(p, k, caps, prefix=(), below=None):
+        tried.append(k)
+        return real(p, k, caps, prefix, below)
 
-    monkeypatch.setattr(search, "_b_walk", recording)
-    clustered_walks = 0
+    monkeypatch.setattr(search, "_b_search", recording)
     for g in (b.wheel(10), b.wheel(30), gnp, b.sunlet(11)):
         tried.clear()
         phi = b.b_chromatic_number(g)
-        # phi starts a degree-order walk for each k from m_degree down to
-        # phi, and a clustered walk for a k that one slice does not settle
-        assert [k for k, clustered in tried if not clustered] == \
-            list(range(m_degree(g), phi - 1, -1)), (g.n, tried)
-        assert {k for k, clustered in tried if clustered} <= set(range(phi, m_degree(g) + 1))
-        clustered_walks += sum(clustered for _, clustered in tried)
+        # phi runs one search for each k from m_degree down to phi
+        assert tried == list(range(m_degree(g), phi - 1, -1)), (g.n, tried)
         b.full_report(g)
-        assert max(k for k, _ in tried) <= m_degree(g), (g.n, sorted(set(tried)))
-    assert clustered_walks
+        assert max(tried) <= m_degree(g), (g.n, sorted(set(tried)))
 
 
 def test_realize_searches_at_most_once_per_vertex(monkeypatch):
