@@ -132,7 +132,7 @@ def _b_walk(p: _Prepared, k: int, caps: tuple[int, ...] | None,
     taken before x joins): u loses an uncoloured neighbour and already saw
     c.  Every other u in N(x) loses an uncoloured neighbour and sees c
     anew, and no other slack changes, so slack only falls along a path.
-    Five cuts drop a branch:
+    Six cuts drop a branch:
       * some class has no b-vertex candidate left;
       * a vertex whose slack fell below 0 is no class's candidate (the
         counting cut, one mask for every class);
@@ -141,6 +141,16 @@ def _b_walk(p: _Prepared, k: int, caps: tuple[int, ...] | None,
         independent: with mu disjoint edges among the vertices that may
         still join it, at most one end of each can, so it can grow by at
         most their number less mu;
+      * in capped mode, a class c with one slot left and no member that
+        can still be its b-vertex (the last-joiner cut): the vertex that
+        joins c last must be c's b-vertex, so only a live vertex in reach
+        of every other class may join c, and the branch is cut when there
+        is none.  The vertices that can see c are then built from that
+        narrowed set, which narrows the other classes' candidates too.
+        The classes with more than one slot left, or none, are handled
+        first; then the one-slot classes in label order, each one tested
+        against live and the reach of every class handled before it, and
+        its own reach added to that mask for the next;
       * the classes whose candidates are all uncoloured cannot be given
         distinct candidates (a class with a coloured candidate is settled;
         one vertex is the b-vertex of one class only).
@@ -169,12 +179,21 @@ def _b_walk(p: _Prepared, k: int, caps: tuple[int, ...] | None,
     capped = caps is not None
 
     def feasible(free: int, live: int) -> bool:
-        avail = []
-        reach = []
+        avail = [0] * k
+        reach = [0] * k
+        common = live  # live, and in reach of each class handled so far
+        last = []      # the capped classes with one slot left
         for c in colours:
             r = blocked[c]
+            a = 0
             if size[c] < cap[c]:
                 a = m = free & ~r
+                if capped and size[c] + 1 == cap[c]:  # reach built below
+                    if not a:
+                        return False
+                    avail[c] = a
+                    last.append(c)
+                    continue
                 for table in nbhd:
                     if not m:
                         break
@@ -201,10 +220,27 @@ def _b_walk(p: _Prepared, k: int, caps: tuple[int, ...] | None,
                                 spare -= 1
                                 if spare < 0:
                                     return False
-            else:
-                a = 0
-            avail.append(a)
-            reach.append(r)
+            avail[c] = a
+            reach[c] = r
+            common &= r
+        for c in last:
+            # common holds masks of classes other than c only: when no
+            # member of c is in it, the vertex that joins c last must be
+            # c's b-vertex, so only a vertex in common may join
+            a = avail[c]
+            if not members[c] & common:
+                a &= common
+                if not a:
+                    return False
+                avail[c] = a
+            r = blocked[c]
+            for table in nbhd:
+                if not a:
+                    break
+                r |= table[a & 255]
+                a >>= 8
+            reach[c] = r
+            common &= r
         # candidates of c: AND of reach[d] over d != c, as the AND over
         # d < c (below) and the AND over d > c (above[c])
         above = [live] * k

@@ -15,14 +15,16 @@ Two independent routes are provided:
   b-colouring search, the kernel in `kernel.py`: chi is the least k with
   a b-colouring, because a proper colouring with chi colours is always a
   b-colouring (Irving & Manlove 1999).  The kernel works on vertex
-  bitmasks and prunes with five cuts (no b-vertex, too little slack, cap
-  unfillable, class cannot stay independent, distinct b-vertices), each
-  a condition every completion must meet, so its answers are exact.  The
-  counting cut uses that a b-vertex gets each colour it does not see yet
-  from a different uncoloured neighbour; the independence cut, that a
-  colour class takes at most one end of each edge of a matching among
-  the vertices that may still join it.  Every phase runs the kernel in
-  degree order alone;
+  bitmasks and prunes with six cuts (no b-vertex, too little slack, cap
+  unfillable, class cannot stay independent, no b-vertex for the last
+  joiner, distinct b-vertices), each a condition every completion must
+  meet, so its answers are exact.  The counting cut uses that a b-vertex
+  gets each colour it does not see yet from a different uncoloured
+  neighbour; the independence cut, that a colour class takes at most one
+  end of each edge of a matching among the vertices that may still join
+  it; the last-joiner cut, that a class with one slot left and no member
+  that can be its b-vertex takes only a vertex that can.  Every phase
+  runs the kernel in degree order alone;
 
 * the naive oracle (`enumerate_b_colourings`, `naive_b_chromatic_number`,
   `naive_extremal`), which walks every proper labelled colouring in

@@ -195,22 +195,33 @@ def _gnp_draws():
 def test_full_report_node_counts_are_pinned():
     # exact counts, so that a change to the search that moves them shows
     draws = _gnp_draws()
-    for g, nodes in ((b.wheel(10), 253), (b.sunlet(8), 2470), (b.closed_ladder(8), 4939),
-                     (draws[0], 5535), (b.sunlet(11), 14706), (draws[16], 6406)):
+    for g, nodes in ((b.wheel(10), 237), (b.sunlet(8), 1562), (b.closed_ladder(8), 3271),
+                     (draws[0], 3749), (b.sunlet(11), 8932), (draws[16], 3526)):
         assert b.full_report(g).nodes_explored == nodes, g
 
 
 def test_independence_cut_refutes_capped_classes():
     # class 1 of cycle(32) can reach 16 only as one of the two alternate
     # halves, which the independence cut sees long before the last vertex;
-    # without the cut this refutation takes 23,519 nodes
+    # without the cut this refutation takes 23,426 nodes
     p = search._prepare(b.cycle(32), None, False)
-    assert search._b_search(p, 3, (16, 14, 2)) is None and p.nodes == 1557
+    assert search._b_search(p, 3, (16, 14, 2)) is None and p.nodes == 1529
     # the scan of closed_ladder(12) refutes 8 size vectors before its hit:
-    # 280,799 nodes without the cut
+    # 147,413 nodes without the cut
     p = search._prepare(b.closed_ladder(12), None, False)
     search._extremal_witnesses(p, 4)
-    assert p.nodes == 20620
+    assert p.nodes == 10869
+
+
+def test_random_21_vertex_report_nodes_are_pinned():
+    # the 21-vertex draw of the random-gnp benchmark: its scan refutes
+    # vectors that end in classes of one vertex, where the last-joiner cut
+    # admits only a vertex that can be the class's b-vertex; 192,111
+    # nodes without that cut
+    rng = random.Random(21)
+    g = b.random_connected_graph(21, rng, rng.uniform(0.2, 0.35))
+    r = b.full_report(g)
+    assert (r.chi, r.phi, r.nodes_explored) == (4, 6, 52047)
 
 
 def test_trivial_graph_report_warns():
