@@ -114,7 +114,6 @@ def _colouring_record(g, c, descriptor: str) -> dict:
     failing = [colour for colour in range(1, c.k + 1)
                if not stats.b_vertices(g, c, colour)]
     surjective = all(t > 0 for t in d.strengths)
-    is_b = proper and surjective and not failing
     return _record(
         "stats",
         graph=descriptor,
@@ -127,7 +126,7 @@ def _colouring_record(g, c, descriptor: str) -> dict:
         variance=stats.variance(d),
         proper=proper,
         uses_all_colours=surjective,
-        b_colouring=is_b,
+        b_colouring=stats.is_b_colouring(g, c),
         classes_without_b_vertex=failing,
     )
 

@@ -1,19 +1,15 @@
 """The b-colouring search kernel: one prepared graph, and the depth-first
-walk for a b-colouring with exactly k colours that chi, phi, the candidate
-scan and realize all run on it (`_b_walk` gives its state and its cuts).
-The walk pauses every _SLICE_NODES nodes, and _b_search is the one loop
-that drives it, so a check made there runs once per slice and puts no
-code into the hot loop.
+search for a b-colouring with exactly k colours that chi, phi, the
+candidate scan and realize all run on it (`_b_search` gives its state and
+its cuts).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Sequence
+from typing import Sequence
 
 from .graphs import Graph
-
-_SLICE_NODES = 1024  # search nodes a walk explores between pauses
 
 
 @dataclass
@@ -80,23 +76,10 @@ def _distinct_representatives(sets: list[int]) -> bool:
 
 def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
               prefix: Sequence[int] = (), below: int | None = None) -> list[int] | None:
-    """_b_walk run to the end, one slice at a time."""
-    walk = _b_walk(p, k, caps, prefix, below)
-    while True:
-        try:
-            next(walk)
-        except StopIteration as done:
-            return done.value
-
-
-def _b_walk(p: _Prepared, k: int, caps: tuple[int, ...] | None,
-            prefix: Sequence[int] = (), below: int | None = None,
-            ) -> Generator[None, None, list[int] | None]:
-    """Generator: depth-first search for the first b-colouring with
-    exactly k colours of the prepared graph p, colouring vertices in
-    p.order.  It yields after each _SLICE_NODES nodes and returns the
+    """Depth-first search for the first b-colouring with exactly k colours
+    of the prepared graph p, colouring vertices in p.order; returns the
     colouring or None.  The nodes it explores are counted on a local and
-    added to p.nodes at each yield and when the walk returns or is closed.
+    added to p.nodes when it returns.
 
     caps fixes each colour class size exactly (caps[i] is the size of
     class i+1, and sum(caps) must equal n); None leaves sizes free.  caps
@@ -316,10 +299,6 @@ def _b_walk(p: _Prepared, k: int, caps: tuple[int, ...] | None,
                     if slack[w] < 0:
                         live ^= u
                 nodes += 1
-                if nodes == _SLICE_NODES:
-                    p.nodes += nodes
-                    nodes = 0
-                    yield
                 if feasible(uncoloured[i + 1], live):
                     held[i] = c
                     i += 1

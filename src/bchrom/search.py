@@ -368,9 +368,8 @@ def naive_extremal(g: Graph, k: int, max_n: int | None = None,
     """Extremal labelled b-colourings at fixed k straight off the stream.
 
     Implements the tie-break order (mean, variance, strength vector,
-    assignment) literally, with integer comparison keys: the smallest
-    assignment of each strength vector, then the best vector, whose keys
-    are computed once each.
+    assignment) literally: the smallest assignment of each strength
+    vector, then the best vector, whose stats are computed once each.
     """
     first: dict[tuple[int, ...], Colouring] = {}  # strength vector -> its smallest colouring
     for c in enumerate_b_colourings(g, k, max_n=max_n):
@@ -380,12 +379,7 @@ def naive_extremal(g: Graph, k: int, max_n: int | None = None,
             first[theta] = c
     if not first:
         raise NoBColouringError(f"no b-colouring with exactly {k} colours")
-    keys = {}  # strength vector -> (min-end key, max-end key), the assignment aside
-    for theta in first:
-        m1 = sum(i * t for i, t in enumerate(theta, start=1))
-        varkey = g.n * sum(i * i * t for i, t in enumerate(theta, start=1)) - m1 * m1
-        keys[theta] = (m1, varkey, theta), (-m1, varkey, theta)
-    low = min(first, key=lambda theta: keys[theta][0])
-    high = min(first, key=lambda theta: keys[theta][1])
-    return (first[low], stats_from_strengths(low),
-            first[high], stats_from_strengths(high))
+    ranked = {theta: stats_from_strengths(theta) for theta in first}
+    low = min(first, key=lambda t: (ranked[t], t))
+    high = min(first, key=lambda t: (-ranked[t].mean, ranked[t].variance, t))
+    return first[low], ranked[low], first[high], ranked[high]

@@ -273,6 +273,21 @@ def test_naive_extremal_tie_break_order():
     assert min_c.colours == best_min
 
 
+def test_naive_extremal_tie_break_on_strength_vector(monkeypatch):
+    # the sizes of test_extremal_tie_break_on_strength_vector: (9,5,5,1)
+    # ties (8,8,2,2) at the min end and (2,2,8,8) ties (1,5,5,9) at the
+    # max end, and each end meets the vector that must lose first
+    def fake_stream(g, k, max_n=None):
+        for sizes in [(9, 5, 5, 1), (2, 2, 8, 8), (8, 8, 2, 2), (1, 5, 5, 9)]:
+            yield b.Colouring(k, tuple(c for c, size in enumerate(sizes, start=1)
+                                       for _ in range(size)))
+
+    monkeypatch.setattr(search, "enumerate_b_colourings", fake_stream)
+    min_c, _, max_c, _ = b.naive_extremal(b.path(20), 4)
+    assert min_c.strengths() == (8, 8, 2, 2)
+    assert max_c.strengths() == (1, 5, 5, 9)
+
+
 def _small_graphs(max_vertices=7, draws=30):
     """Every family instance and `draws` seeded random connected graphs,
     each with at most max_vertices vertices."""
