@@ -38,42 +38,6 @@ def _build(g: Graph) -> _Prepared:
     return _Prepared(adj, order, nbhd)
 
 
-def _distinct_representatives(sets: list[int]) -> bool:
-    """True when every bitmask in sets can be given a bit of its own that
-    no other set is given, found by augmenting paths."""
-    # most calls are settled by taking each set's lowest untaken bit
-    taken = 0
-    for s in sets:
-        free = s & ~taken
-        if not free:
-            break
-        taken |= free & -free
-    else:
-        return True
-    owner: dict[int, int] = {}  # bit -> index of the set it represents
-    seen = 0
-
-    def augment(i: int) -> bool:
-        # a set deeper on the path needs no bit of sets[i]: set i could
-        # take that bit itself, so all of them are marked seen at once
-        nonlocal seen
-        rest = sets[i] & ~seen
-        seen |= sets[i]
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            if b not in owner or augment(owner[b]):
-                owner[b] = i
-                return True
-        return False
-
-    for i in range(len(sets)):
-        seen = 0
-        if not augment(i):
-            return False
-    return True
-
-
 def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
               prefix: Sequence[int] = (), below: int | None = None) -> list[int] | None:
     """Depth-first search for the first b-colouring with exactly k colours
@@ -134,9 +98,9 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
         first; then the one-slot classes in label order, each one tested
         against live and the reach of every class handled before it, and
         its own reach added to that mask for the next;
-      * the classes whose candidates are all uncoloured cannot be given
-        distinct candidates (a class with a coloured candidate is settled;
-        one vertex is the b-vertex of one class only).
+      * the classes whose candidates are all uncoloured have, between
+        them, fewer candidates than there are such classes (one vertex is
+        the b-vertex of one class only).
     Every cut is a condition that each completion meets, optimistic about
     uncoloured vertices, so it prunes only subtrees without a solution:
     refutations are exact and the first solution is the one an uncut
@@ -230,15 +194,16 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
         for d in range(k - 1, 0, -1):
             above[d - 1] = above[d] & reach[d]
         below = live
-        unsettled = []
+        need = pool = 0  # how many classes have no coloured candidate, and their candidates
         for c in colours:
             cand = (members[c] | avail[c]) & below & above[c]
             if not cand:
                 return False
             if not cand & members[c]:
-                unsettled.append(cand)
+                need += 1
+                pool |= cand
             below &= reach[c]
-        return len(unsettled) < 2 or _distinct_representatives(unsettled)
+        return pool.bit_count() >= need
 
     # the prefix is the starting state; an improper or overfull one has
     # no completion

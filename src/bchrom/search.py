@@ -17,14 +17,17 @@ Two independent routes are provided:
   b-colouring (Irving & Manlove 1999).  The kernel works on vertex
   bitmasks and prunes with six cuts (no b-vertex, too little slack, cap
   unfillable, class cannot stay independent, no b-vertex for the last
-  joiner, distinct b-vertices), each a condition every completion must
-  meet, so its answers are exact.  The counting cut uses that a b-vertex
+  joiner, too few b-vertices to share), each a condition every completion
+  must meet, so its answers are exact.  The counting cut uses that a b-vertex
   gets each colour it does not see yet from a different uncoloured
   neighbour; the independence cut, that a colour class takes at most one
   end of each edge of a matching among the vertices that may still join
   it; the last-joiner cut, that a class with one slot left and no member
-  that can be its b-vertex takes only a vertex that can.  Every phase
-  runs the kernel in degree order alone;
+  that can be its b-vertex takes only a vertex that can; the pooled count,
+  that the classes whose candidates are all uncoloured need, between them,
+  at least as many candidates as there are such classes, since one vertex
+  is the b-vertex of one class only.  Every phase runs the kernel in
+  degree order alone;
 
 * the naive oracle (`enumerate_b_colourings`, `naive_b_chromatic_number`,
   `naive_extremal`), which walks every proper labelled colouring in
