@@ -18,24 +18,32 @@ class _Prepared:
 
     adj: list[int]          # adj[v]: neighbour bitmask of v (bit u set when u ~ v, 0-based)
     order: list[int]        # the vertex order the search colours in
-    nbhd: list[list[int]]   # nbhd[j][m] = N(m << 8j): N(S) is one lookup per byte of S
+    # N(S) for a vertex mask S, by lookup (see _build): (t0, t1, t2, tail, w,
+    # mask, covered), with tj[m] = N(m << jw) for S's w-bit chunk j and covered
+    # = 2^3w - 1; tail[j][m] = N(m << (3w + 8j)) holds the vertices from 3w on
+    nbhd: tuple
     nodes: int = 0          # search nodes explored on this graph so far
     # k -> (the vertices of degree >= k - 1, slack[v] = deg(v) + 1 - k for each v)
     slack: dict[int, tuple[int, list[int]]] = field(default_factory=dict)
 
 
 def _build(g: Graph) -> _Prepared:
-    """g's bitmasks and byte tables, in degree-descending vertex order
-    (ties by index)."""
+    """g's bitmasks and neighbourhood tables, in degree-descending vertex
+    order (ties by index).  The tables t0, t1, t2 have width w = min(11,
+    max(8, ceil(n/3))), so three lookups cover vertices 0..3w-1, every
+    vertex up to n = 33; for n <= 24 they are the byte tables of vertices
+    0..23.  Past 3w the tail has one byte table per 8 vertices, which only a
+    cap raised past 33 vertices reaches."""
     adj = [sum(1 << (w - 1) for w in g.adjacency[v]) for v in g.vertices()]
-    nbhd = []
-    for base in range(0, g.n, 8):
+    w = min(11, max(8, -(-g.n // 3)))
+    tables = []
+    for base, width in [(0, w), (w, w), (2 * w, w), *((b, 8) for b in range(3 * w, g.n, 8))]:
         table = [0]
-        for u in range(base, min(base + 8, g.n)):
+        for u in range(base, min(base + width, g.n)):
             table += [m | adj[u] for m in table]
-        nbhd.append(table)
+        tables.append(table)
     order = sorted(range(g.n), key=lambda v: (-adj[v].bit_count(), v))
-    return _Prepared(adj, order, nbhd)
+    return _Prepared(adj, order, (*tables[:3], tables[3:], w, (1 << w) - 1, (1 << 3 * w) - 1))
 
 
 def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
@@ -104,13 +112,19 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
     Every cut is a condition that each completion meets, optimistic about
     uncoloured vertices, so it prunes only subtrees without a solution:
     refutations are exact and the first solution is the one an uncut
-    search would find.  The search is a loop over an explicit stack, so
-    its depth is not bounded by Python's recursion limit: depth i keeps
-    the colour its vertex holds, the blocked mask of that colour from
-    before the vertex joined it and the live vertices whose slack it
-    lowered, and undoes all three on the way back.
+    search would find.  The cuts run in feasible(), once per node: it
+    builds reach[c] = blocked[c] | N(a), where a holds the vertices that may
+    still join c, as one three-term lookup in p.nbhd (a fourth term, the
+    tail, only for a vertex at or past 3w), and writes its per-class masks
+    to arrays allocated once per call.  The search is a loop over an
+    explicit stack, so its depth is not bounded by Python's recursion
+    limit: depth i keeps the colour its vertex holds, the blocked mask of
+    that colour from before the vertex joined it and the live vertices
+    whose slack it lowered, and undoes all three on the way back.  The
+    colouring is read from the prefix and the colours held per depth.
     """
-    adj, nbhd = p.adj, p.nbhd
+    adj = p.adj
+    t0, t1, t2, tail, width, mask, covered = p.nbhd
     n = len(adj)
     cap = [n] * k if caps is None else list(caps)
     known = p.slack.get(k)
@@ -122,30 +136,34 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
     size = [0] * k
     members = [0] * k
     blocked = [0] * k
-    colours = range(k)
-    capped = caps is not None
+    # feasible's scratch, rewritten at every node before it is read
+    avail = [0] * k
+    reach = [0] * k
+    above = [0] * k
+    last = [0] * k  # last[:nl]: the capped classes with one slot left
 
-    def feasible(free: int, live: int) -> bool:
-        avail = [0] * k
-        reach = [0] * k
+    def feasible(free: int, live: int, colours=range(k), downs=range(k - 1, 0, -1),
+                 capped=caps is not None, size=size, cap=cap, members=members,
+                 blocked=blocked, adj=adj, avail=avail, reach=reach, above=above,
+                 last=last, t0=t0, t1=t1, t2=t2, width=width, width2=2 * width,
+                 mask=mask, covered=covered) -> bool:
         common = live  # live, and in reach of each class handled so far
-        last = []      # the capped classes with one slot left
+        nl = 0
         for c in colours:
             r = blocked[c]
             a = 0
             if size[c] < cap[c]:
-                a = m = free & ~r
+                a = free & ~r
                 if capped and size[c] + 1 == cap[c]:  # reach built below
                     if not a:
                         return False
                     avail[c] = a
-                    last.append(c)
+                    last[nl] = c
+                    nl += 1
                     continue
-                for table in nbhd:
-                    if not m:
-                        break
-                    r |= table[m & 255]
-                    m >>= 8
+                r |= t0[a & mask] | t1[a >> width & mask] | t2[a >> width2 & mask]
+                if a > covered:
+                    r |= _tail(tail, a >> width2 + width)
                 if capped:
                     # spare: how many of the vertices in a class c can leave out
                     spare = size[c] + a.bit_count() - cap[c]
@@ -170,7 +188,7 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
             avail[c] = a
             reach[c] = r
             common &= r
-        for c in last:
+        for c in last[:nl]:
             # common holds masks of classes other than c only: when no
             # member of c is in it, the vertex that joins c last must be
             # c's b-vertex, so only a vertex in common may join
@@ -180,18 +198,15 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
                 if not a:
                     return False
                 avail[c] = a
-            r = blocked[c]
-            for table in nbhd:
-                if not a:
-                    break
-                r |= table[a & 255]
-                a >>= 8
+            r = blocked[c] | t0[a & mask] | t1[a >> width & mask] | t2[a >> width2 & mask]
+            if a > covered:
+                r |= _tail(tail, a >> width2 + width)
             reach[c] = r
             common &= r
         # candidates of c: AND of reach[d] over d != c, as the AND over
         # d < c (below) and the AND over d > c (above[c])
-        above = [live] * k
-        for d in range(k - 1, 0, -1):
+        above[-1] = live
+        for d in downs:
             above[d - 1] = above[d] & reach[d]
         below = live
         need = pool = 0  # how many classes have no coloured candidate, and their candidates
@@ -286,6 +301,20 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
                 h ^= u
                 slack[u.bit_length() - 1] += 1
             c += 1
-        return [next(c + 1 for c in colours if members[c] >> v & 1) for v in range(n)]
+        colouring = list(prefix) + [0] * m
+        for v, c in zip(rest, held):
+            colouring[v] = c + 1
+        return colouring
     finally:
         p.nodes += nodes
+
+
+def _tail(tables: list[list[int]], m: int) -> int:
+    """N(S) over the tail's byte tables, for m = S >> 3w."""
+    r = 0
+    for table in tables:
+        if not m:
+            break
+        r |= table[m & 255]
+        m >>= 8
+    return r

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 import bchrom as b
-from bchrom import search
+from bchrom import kernel, search
 from bchrom.closed_forms import Family, generate, sweep
 from bchrom.search import (
     DisconnectedGraphError,
@@ -580,3 +580,36 @@ def test_cap_below_one_is_malformed():
             call(g, max_n=0)
     with pytest.raises(ValueError, match="cap must be >= 1"):
         sweep(Family.PATH, range(2, 5), max_n=-1)
+
+
+def test_neighbourhood_tables_match_the_adjacency():
+    # t0, t1, t2 hold w = min(11, max(8, ceil(n/3))) vertices each, the
+    # tail one byte table per 8 vertices from 3w on; an entry m of a table
+    # is N of the vertices its bits name, and the lookup of a vertex set S
+    # is the union of adj over S
+    rng = random.Random(5)
+    for n in (1, 8, 9, 11, 24, 25, 33, 34, 40, 60):
+        edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                 if rng.random() < 0.3]
+        p = kernel._build(b.graphs.build_graph(n, edges))
+        t0, t1, t2, tail, w, mask, covered = p.nbhd
+
+        def union(vertices):
+            out = 0
+            for u in vertices:
+                out |= p.adj[u]
+            return out
+
+        assert (w, mask, covered) == (min(11, max(8, -(-n // 3))), 2 ** w - 1, 2 ** (3 * w) - 1)
+        spans = [(0, w), (w, w), (2 * w, w), *((base, 8) for base in range(3 * w, n, 8))]
+        assert len(tail) == len(spans) - 3
+        for table, (base, width) in zip((t0, t1, t2, *tail), spans):
+            vertices = range(base, min(base + width, n))
+            assert len(table) == 2 ** len(vertices), (n, base)
+            for m in {0, len(table) - 1, *(rng.randrange(len(table)) for _ in range(40))}:
+                assert table[m] == union(u for i, u in enumerate(vertices) if m >> i & 1), (n, base, m)
+        for s in [1 << u for u in range(n)] + [rng.getrandbits(n) for _ in range(40)]:
+            looked_up = t0[s & mask] | t1[s >> w & mask] | t2[s >> 2 * w & mask]
+            if s > covered:
+                looked_up |= kernel._tail(tail, s >> 3 * w)
+            assert looked_up == union(u for u in range(n) if s >> u & 1), (n, s)
