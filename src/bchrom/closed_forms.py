@@ -9,14 +9,18 @@ Two tables are kept side by side:
   pruned exact search, which matches the enumeration wherever both run).
 
 Wherever the two disagree the discrepancy is a registered erratum.  One row
-of ``ERRATA_REGISTRY`` (n-condition, corrected formula, note) is the only
-place an erratum is defined: ``corrected_value``, ``is_registered_erratum``
-and ``errata_table_csv`` all read it.  sweep() cross-checks every row
-against a fresh exact search so a regression in either table is caught.
+of ``ERRATA_REGISTRY`` (n-condition text, printed and corrected text, note,
+and the class sizes of a b-colouring attaining the corrected value) is the
+only place an erratum is defined: its condition is read from the text and
+its mean and variance are ``stats_from_strengths`` of the sizes.
+``corrected_value``, ``is_registered_erratum`` and ``errata_table_csv`` all
+read it.  sweep() cross-checks every row against a fresh exact search so a
+regression in either table is caught.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
@@ -28,7 +32,7 @@ from . import graphs
 from .graphs import Graph
 from .io import write_csv
 from .search import DEFAULT_SEARCH_CAP, SearchCapError, _check_caps, full_report
-from .stats import Colouring, _check_cover
+from .stats import Colouring, _check_cover, stats_from_strengths
 
 
 class Family(str, Enum):
@@ -137,18 +141,32 @@ def printed_value(family, n: int) -> tuple[Fraction, Fraction]:
     raise AssertionError(family)
 
 
+_APPLIES_TO = re.compile(r"(?:(even|odd) )?n (=|>=) (\d+)")
+
+
 @dataclass(frozen=True)
 class ErratumRule:
     """One registered printed-vs-corrected discrepancy: the n-condition it
-    covers, the corrected (mean, variance) there, and why."""
+    covers, the class sizes of a b-colouring that attains the corrected
+    (mean, variance) there, and why."""
 
     family: Family
-    applies_to: str         # human-readable n-condition
+    applies_to: str         # the n-condition: "n = m", "n >= m", "even n >= m", ...
     printed: str
     corrected: str
     note: str
-    condition: Callable[[int], bool] = field(repr=False, compare=False)
-    value: Callable[[int], tuple[Fraction, Fraction]] = field(repr=False, compare=False)
+    sizes: Callable[[int], tuple[int, ...]] = field(repr=False, compare=False)
+
+    def condition(self, n: int) -> bool:
+        """n meets applies_to."""
+        parity, op, m = _APPLIES_TO.fullmatch(self.applies_to).groups()
+        return ((n == int(m) if op == "=" else n >= int(m))
+                and (parity is None or n % 2 == (parity == "odd")))
+
+    def value(self, n: int) -> tuple[Fraction, Fraction]:
+        """The corrected (mean, variance): the statistics of sizes(n)."""
+        stats = stats_from_strengths(self.sizes(n))
+        return stats.mean, stats.variance
 
 
 ERRATA_REGISTRY: tuple[ErratumRule, ...] = (
@@ -157,23 +175,19 @@ ERRATA_REGISTRY: tuple[ErratumRule, ...] = (
         "the 4-path admits no b-colouring with 3 colours (both size-1 "
         "classes would need interior b-vertices, leaving the endpoint "
         "pair without one), so the 2-colour statistics apply",
-        condition=lambda n: n == 4,
-        value=lambda n: (Fraction(3, 2), Fraction(1, 4))),
+        sizes=lambda n: (2, 2)),
     ErratumRule(
         Family.CYCLE, "even n >= 6", "variance (n^2+16n+36)/(4n^2)",
         "variance (n^2+16n-36)/(4n^2)",
         "constant term of the printed variance has the wrong sign; "
         "the printed class sizes ((n-2)/2, (n-2)/2, 2) themselves "
         "yield (n^2+16n-36)/(4n^2)",
-        condition=lambda n: n >= 6 and n % 2 == 0,
-        value=lambda n: (Fraction(3 * n + 6, 2 * n),
-                         Fraction(n * n + 16 * n - 36, 4 * n * n))),
+        sizes=lambda n: ((n - 2) // 2, (n - 2) // 2, 2)),
     ErratumRule(
         Family.SUNLET, "n = 5", "mean 17/10, variance 61/100", "mean 8/5, variance 11/25",
         "printed class sizes (5,3,2) are not mean-minimal: sizes "
         "(5,4,1) admit a b-colouring with mean 8/5",
-        condition=lambda n: n == 5,
-        value=lambda n: (Fraction(8, 5), Fraction(11, 25))),
+        sizes=lambda n: (5, 4, 1)),
     ErratumRule(
         Family.SUNLET, "n >= 6",
         "mean (3n+7)/(2n), variance (n^2+35n-49)/(4n^2)",
@@ -181,22 +195,18 @@ ERRATA_REGISTRY: tuple[ErratumRule, ...] = (
         "printed class sizes (n-1, n-3, 2, 2) are not mean-minimal: "
         "sizes (n, n-4, 2, 2) admit a b-colouring, giving mean "
         "(3n+6)/(2n) and variance (n^2+32n-36)/(4n^2)",
-        condition=lambda n: n >= 6,
-        value=lambda n: (Fraction(3 * n + 6, 2 * n),
-                         Fraction(n * n + 32 * n - 36, 4 * n * n))),
+        sizes=lambda n: (n, n - 4, 2, 2)),
     ErratumRule(
         Family.CLOSED_LADDER, "n = 3", "mean 5, variance 2", "mean 2, variance 2/3",
         "printed mean 5 exceeds the largest colour index; the uniform "
         "three-class colouring gives mean 2 and variance 2/3 (the printed "
         "variance 2 is also inconsistent with that same colouring)",
-        condition=lambda n: n == 3,
-        value=lambda n: (Fraction(2), Fraction(2, 3))),
+        sizes=lambda n: (2, 2, 2)),
     ErratumRule(
         Family.CLOSED_LADDER, "n = 5", "variance 131/144", "variance 121/100",
         "printed variance list is misaligned: class sizes (3,3,2,2) give "
         "121/100 at n = 5",
-        condition=lambda n: n == 5,
-        value=lambda n: (Fraction(23, 10), Fraction(121, 100))),
+        sizes=lambda n: (3, 3, 2, 2)),
     ErratumRule(
         Family.CLOSED_LADDER, "n = 6", "mean 23/12 (variance branch missing)",
         "mean 25/12, variance 131/144",
@@ -204,8 +214,7 @@ ERRATA_REGISTRY: tuple[ErratumRule, ...] = (
         "admit no b-colouring; the minimum uses (4,4,3,1) with mean 25/12. "
         "The printed variance list has no n = 6 branch; the misaligned "
         "value 131/144 happens to equal the corrected variance",
-        condition=lambda n: n == 6,
-        value=lambda n: (Fraction(25, 12), Fraction(131, 144))),
+        sizes=lambda n: (4, 4, 3, 1)),
     ErratumRule(
         Family.CLOSED_LADDER, "odd n >= 7",
         "mean (3n+8)/(2n), variance (n^2+28n-64)/(4n^2)",
@@ -213,9 +222,7 @@ ERRATA_REGISTRY: tuple[ErratumRule, ...] = (
         "printed class sizes (n-2, n-3, 4, 1) are not mean-minimal for "
         "odd n >= 7: sizes (n-2, n-2, 3, 1) admit a b-colouring, so the "
         "even-case formulas hold for odd n as well",
-        condition=lambda n: n >= 7 and n % 2 == 1,
-        value=lambda n: (Fraction(3 * n + 7, 2 * n),
-                         Fraction(n * n + 24 * n - 49, 4 * n * n))),
+        sizes=lambda n: (n - 2, n - 2, 3, 1)),
 )
 
 

@@ -47,7 +47,7 @@ def _build(g: Graph) -> _Prepared:
 
 
 def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
-              prefix: Sequence[int] = (), below: int | None = None) -> list[int] | None:
+              head: Sequence[int] = ()) -> list[int] | None:
     """Depth-first search for the first b-colouring with exactly k colours
     of the prepared graph p, colouring vertices in p.order; returns the
     colouring or None.  The nodes it explores are counted on a local and
@@ -56,18 +56,18 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
     caps fixes each colour class size exactly (caps[i] is the size of
     class i+1, and sum(caps) must equal n); None leaves sizes free.  caps
     must be monotone (non-increasing or non-decreasing), so that labels
-    with equal caps are adjacent.  prefix fixes the colours of vertices
-    0..len(prefix)-1: they are the starting state, first tested by the
-    cuts together with the next vertex placed (alone, as one node, when it
-    colours every vertex), and only completions of it are searched.  The
-    other vertices are coloured in order and take colours in ascending
-    label order; of two labels with equal caps that are both still empty,
-    only the lower may open, since swapping them maps any completion onto
-    another.  So with the identity vertex order the first solution is the
-    lexicographically smallest completion.  When below is given, vertex
-    j = len(prefix) is coloured first, ahead of the rest of order, and
-    only with colours 1..below-1, so the first solution gives j the
-    smallest such colour that any completion allows.
+    with equal caps are adjacent.  A non-empty head fixes the colours of
+    vertices 0..j-1 to head[:-1], where j = len(head) - 1: they are the
+    starting state, first tested by the cuts together with the next vertex
+    placed, and only completions of it are searched.  Vertex j is then
+    coloured first, ahead of the rest of order, and only with colours
+    1..head[-1]-1, so the first solution gives j the smallest such colour
+    that any completion allows.  The other vertices are coloured in order
+    and take colours in ascending label order; of two labels with equal
+    caps that are both still empty, only the lower may open, since
+    swapping them maps any completion onto another.  So with the identity
+    vertex order the first solution is the lexicographically smallest
+    completion.
 
     The state is colour-major: per class c, the vertex mask members[c] and
     blocked[c], the vertices adjacent to class c.  A vertex may still join c
@@ -121,7 +121,7 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
     limit: depth i keeps the colour its vertex holds, the blocked mask of
     that colour from before the vertex joined it and the live vertices
     whose slack it lowered, and undoes all three on the way back.  The
-    colouring is read from the prefix and the colours held per depth.
+    colouring is read from the head and the colours held per depth.
     """
     adj = p.adj
     t0, t1, t2, tail, width, mask, covered = p.nbhd
@@ -220,9 +220,9 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
             below &= reach[c]
         return pool.bit_count() >= need
 
-    # the prefix is the starting state; an improper or overfull one has
-    # no completion
-    for v, c in enumerate(prefix):
+    # head[:-1] is the starting state; an improper or overfull one has no
+    # completion
+    for v, c in enumerate(head[:-1]):
         c -= 1
         r = blocked[c]
         if r >> v & 1 or size[c] == cap[c]:
@@ -238,10 +238,8 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
             slack[w] -= 1
             if slack[w] < 0:
                 live ^= u
-    j = len(prefix)
-    rest = [v for v in p.order if v > j or v == j and below is None]
-    if below is not None:
-        rest.insert(0, j)
+    j = len(head) - 1  # the bounded vertex, when head is not empty
+    rest = ([j] if head else []) + [v for v in p.order if v > j]
     m = len(rest)
     # uncoloured[i]: the vertices left uncoloured once rest[:i] is coloured
     uncoloured = [0] * (m + 1)
@@ -249,11 +247,6 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
         uncoloured[i] = uncoloured[i + 1] | 1 << rest[i]
     nodes = 0
     try:
-        if not rest:  # a complete prefix is checked as a colouring
-            nodes = 1
-            if not feasible(0, live):
-                return None
-
         held = [0] * m   # held[i]: the colour rest[i] holds
         saved = [0] * m  # saved[i]: blocked[held[i]] before rest[i] joined it
         lost = [0] * m   # lost[i]: the live vertices whose slack rest[i] lowered
@@ -261,7 +254,7 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
         while i < m:
             v = rest[i]
             vbit = 1 << v
-            top = k if i or below is None else below - 1  # colours open at depth i
+            top = k if i or not head else head[-1] - 1  # colours open at depth i
             while c < top and (blocked[c] & vbit or size[c] == cap[c]
                                or c and cap[c - 1] == cap[c] and not size[c - 1] and not size[c]):
                 c += 1
@@ -301,7 +294,7 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
                 h ^= u
                 slack[u.bit_length() - 1] += 1
             c += 1
-        colouring = list(prefix) + [0] * m
+        colouring = list(head[:-1]) + [0] * m
         for v, c in zip(rest, held):
             colouring[v] = c + 1
         return colouring

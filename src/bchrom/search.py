@@ -218,16 +218,17 @@ def _realize(p: _Prepared, k: int, witness: list[int]) -> tuple[Colouring, Chrom
     """(colouring, stats): the lexicographically smallest b-colouring with
     the class sizes of witness, itself a b-colouring with k colours.
 
-    Prefix fixing: with vertices 0..v-1 fixed, one capped search (in
-    p.order, bounded below the witness's colour at v) gives v the smallest
-    colour any completion allows, and its completion is the new witness.
-    If it finds none, v keeps the witness's colour, which the witness
-    itself completes.  A vertex of colour 1 needs no search.
+    Prefix fixing: one capped search with head witness[:v + 1] (vertices
+    0..v-1 fixed, v coloured first and only below the witness's colour at
+    v, the rest in p.order) gives v the smallest colour any completion
+    allows, and its completion is the new witness.  If it finds none, v
+    keeps the witness's colour, which the witness itself completes.  A
+    vertex of colour 1 needs no search.
     """
     caps = Colouring(k, tuple(witness)).strengths()
     for v in range(len(p.adj)):
         if witness[v] > 1:
-            found = _b_search(p, k, caps, witness[:v], witness[v])
+            found = _b_search(p, k, caps, witness[:v + 1])
             if found is not None:
                 witness = found
     return Colouring(k, tuple(witness)), stats_from_strengths(caps)

@@ -552,6 +552,19 @@ PINNED_PATH_VERIFY_CAPPED_JSON = """\
 """
 
 
+PINNED_ERRATA_CSV = """\
+family,applies_to,printed,corrected,note
+path,n = 4,"mean 7/4, variance 11/16","mean 3/2, variance 1/4","the 4-path admits no b-colouring with 3 colours (both size-1 classes would need interior b-vertices, leaving the endpoint pair without one), so the 2-colour statistics apply"
+cycle,even n >= 6,variance (n^2+16n+36)/(4n^2),variance (n^2+16n-36)/(4n^2),"constant term of the printed variance has the wrong sign; the printed class sizes ((n-2)/2, (n-2)/2, 2) themselves yield (n^2+16n-36)/(4n^2)"
+sunlet,n = 5,"mean 17/10, variance 61/100","mean 8/5, variance 11/25","printed class sizes (5,3,2) are not mean-minimal: sizes (5,4,1) admit a b-colouring with mean 8/5"
+sunlet,n >= 6,"mean (3n+7)/(2n), variance (n^2+35n-49)/(4n^2)","mean (3n+6)/(2n), variance (n^2+32n-36)/(4n^2)","printed class sizes (n-1, n-3, 2, 2) are not mean-minimal: sizes (n, n-4, 2, 2) admit a b-colouring, giving mean (3n+6)/(2n) and variance (n^2+32n-36)/(4n^2)"
+closed-ladder,n = 3,"mean 5, variance 2","mean 2, variance 2/3",printed mean 5 exceeds the largest colour index; the uniform three-class colouring gives mean 2 and variance 2/3 (the printed variance 2 is also inconsistent with that same colouring)
+closed-ladder,n = 5,variance 131/144,variance 121/100,"printed variance list is misaligned: class sizes (3,3,2,2) give 121/100 at n = 5"
+closed-ladder,n = 6,mean 23/12 (variance branch missing),"mean 25/12, variance 131/144","printed mean 23/12 corresponds to class sizes (5,4,2,1), which admit no b-colouring; the minimum uses (4,4,3,1) with mean 25/12. The printed variance list has no n = 6 branch; the misaligned value 131/144 happens to equal the corrected variance"
+closed-ladder,odd n >= 7,"mean (3n+8)/(2n), variance (n^2+28n-64)/(4n^2)","mean (3n+7)/(2n), variance (n^2+24n-49)/(4n^2)","printed class sizes (n-2, n-3, 4, 1) are not mean-minimal for odd n >= 7: sizes (n-2, n-2, 3, 1) admit a b-colouring, so the even-case formulas hold for odd n as well"
+"""
+
+
 def test_cli_bytes_are_pinned(tmp_path):
     colouring = tmp_path / "c.txt"
     colouring.write_text("2\n1 1\n2 2\n3 1\n4 2\n")
@@ -572,6 +585,8 @@ def test_cli_bytes_are_pinned(tmp_path):
          PINNED_CYCLE4_COLOURING_JSON),
         (("stats", "--family", "cycle", "--n", "4", "--colouring", str(colouring),
           "--format", "csv"), 0, PINNED_CYCLE4_COLOURING_CSV),
+        # the errata registry, one row per rule
+        (("errata",), 0, PINNED_ERRATA_CSV),
     ]
     for argv, want_code, want_out in cases:
         code, out, _ = run_cli(*argv)

@@ -60,8 +60,7 @@ def test_domain_errors():
 
 @pytest.mark.parametrize("family", list(Family))
 def test_case_split_is_total(family):
-    lo = {Family.COMPLETE: 1, Family.PATH: 2}.get(family, 3)
-    for n in range(lo, 30):
+    for n in range(_FAMILIES[family].min_n, 30):
         pm, pv = printed_value(family, n)
         cm, cv, note = corrected_value(family, n)
         assert pm.denominator > 0 and cv.denominator > 0
@@ -140,6 +139,20 @@ def test_registry_and_csv():
             assert len(hits) <= 1, (family, n, [r.applies_to for r in hits])
             used.update(hits)
     assert used == set(ERRATA_REGISTRY)
+
+
+def test_rule_sizes_are_the_searched_minimum_colouring():
+    # each rule's sizes are those of the minimum-mean b-colouring the
+    # search realizes, wherever the rule's graph has at most 24 vertices
+    checked = 0
+    for rule in ERRATA_REGISTRY:
+        spec = _FAMILIES[rule.family]
+        for n in range(spec.min_n, 25):
+            if rule.condition(n) and spec.vertices(n) <= 24:
+                report = b.full_report(generate(rule.family, n))
+                assert rule.sizes(n) == report.min_colouring.strengths(), (rule.applies_to, n)
+                checked += 1
+    assert checked == 25
 
 
 def test_entry_consistency_flags_search_disagreement():
