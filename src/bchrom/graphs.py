@@ -13,7 +13,12 @@ from functools import cached_property
 
 
 class GraphError(ValueError):
-    """Malformed graph construction input (bad endpoint, self-loop, bad size)."""
+    """Malformed graph construction input (bad endpoint, self-loop, bad size).
+
+    `Graph` itself raises it for a vertex count or an edge that breaks its
+    invariant, `build_graph` for a self-loop, and the generators for family
+    parameters below their minimum.
+    """
 
 
 @dataclass(frozen=True)
@@ -21,11 +26,20 @@ class Graph:
     """Simple undirected graph on vertices 1..n.
 
     Edges are stored as a frozenset of (u, v) pairs with u < v; no
-    self-loops or parallel edges can be represented.
+    self-loops or parallel edges can be represented.  Construction checks
+    this invariant, n >= 1 and each edge a pair 1 <= u < v <= n, so every
+    `Graph` holds it; use `build_graph` for unordered or repeated pairs.
     """
 
     n: int
     edges: frozenset[tuple[int, int]]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.n, int) or self.n < 1:
+            raise GraphError(f"vertex count must be a positive integer, got {self.n!r}")
+        for e in self.edges:
+            if not (type(e) is tuple and len(e) == 2 and 1 <= e[0] < e[1] <= self.n):
+                raise GraphError(f"edge {e!r} is not a pair 1 <= u < v <= {self.n}")
 
     @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
@@ -38,8 +52,6 @@ class Graph:
 
     @cached_property
     def connected(self) -> bool:
-        if self.n <= 1:
-            return True
         seen = {1}
         stack = [1]
         while stack:
@@ -70,24 +82,19 @@ class Graph:
 def build_graph(n: int, edges) -> Graph:
     """Build a graph from a vertex count and an iterable of endpoint pairs.
 
-    Duplicate edges (in either orientation) are deduplicated; self-loops and
-    out-of-range endpoints raise GraphError.
+    Duplicate edges (in either orientation) are deduplicated and a
+    self-loop raises GraphError here; `Graph` checks the vertex count and
+    the endpoints' range.
     """
-    if not isinstance(n, int) or n < 1:
-        raise GraphError(f"vertex count must be a positive integer, got {n!r}")
     normalized = set()
     for u, v in edges:
         if u == v:
             raise GraphError(f"self-loop at vertex {u}")
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise GraphError(f"edge ({u},{v}) outside 1..{n}")
         normalized.add((u, v) if u < v else (v, u))
     return Graph(n, frozenset(normalized))
 
 
 def max_degree(g: Graph) -> int:
-    if g.n == 0:
-        return 0
     return max(g.degree(v) for v in g.vertices())
 
 
@@ -98,8 +105,6 @@ def max_degree(g: Graph) -> int:
 
 def path(n: int) -> Graph:
     """Path on n vertices, numbered 1..n in traversal order."""
-    if n < 1:
-        raise GraphError("path requires n >= 1")
     return build_graph(n, [(i, i + 1) for i in range(1, n)])
 
 
@@ -111,8 +116,6 @@ def cycle(n: int) -> Graph:
 
 
 def complete(n: int) -> Graph:
-    if n < 1:
-        raise GraphError("complete requires n >= 1")
     return build_graph(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)])
 
 
@@ -148,8 +151,6 @@ def corona(g: Graph, h: Graph) -> Graph:
 
 def corona_with_k1(g: Graph) -> Graph:
     """Attach one pendant neighbour to every vertex; pendant of i is g.n + i."""
-    if g.n < 1:
-        raise GraphError("corona requires a non-empty graph")
     return corona(g, complete(1))
 
 
@@ -159,9 +160,6 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     With this numbering cartesian_product(cycle(n), path(2)) has inner cycle
     1..n and outer cycle n+1..2n with rungs i -- n+i.
     """
-    if g.n < 1 or h.n < 1:
-        raise GraphError("cartesian product requires non-empty factors")
-
     def num(u: int, w: int) -> int:
         return (w - 1) * g.n + u
 
@@ -192,8 +190,6 @@ _MAX_TRIES = 10_000
 
 def random_connected_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
     """Erdos-Renyi G(n, p) resampled until connected; deterministic given rng state."""
-    if n < 1:
-        raise GraphError("random graph requires n >= 1")
     for _ in range(_MAX_TRIES):
         edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p]
         g = build_graph(n, edges)

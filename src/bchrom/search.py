@@ -14,20 +14,9 @@ Two independent routes are provided:
   per vertex.  chi, phi, the scan and the realize step all run that one
   b-colouring search, the kernel in `kernel.py`: chi is the least k with
   a b-colouring, because a proper colouring with chi colours is always a
-  b-colouring (Irving & Manlove 1999).  The kernel works on vertex
-  bitmasks and prunes with six cuts (no b-vertex, too little slack, cap
-  unfillable, class cannot stay independent, no b-vertex for the last
-  joiner, too few b-vertices to share), each a condition every completion
-  must meet, so its answers are exact.  The counting cut uses that a b-vertex
-  gets each colour it does not see yet from a different uncoloured
-  neighbour; the independence cut, that a colour class takes at most one
-  end of each edge of a matching among the vertices that may still join
-  it; the last-joiner cut, that a class with one slot left and no member
-  that can be its b-vertex takes only a vertex that can; the pooled count,
-  that the classes whose candidates are all uncoloured need, between them,
-  at least as many candidates as there are such classes, since one vertex
-  is the b-vertex of one class only.  Every phase runs the kernel in
-  degree order alone;
+  b-colouring (Irving & Manlove 1999).  The kernel's cuts, each a
+  condition every completion must meet, are described in
+  `kernel._b_search`.  Every phase runs the kernel in degree order alone;
 
 * the naive oracle (`enumerate_b_colourings`, `naive_b_chromatic_number`,
   `naive_extremal`), which walks every proper labelled colouring in
@@ -35,8 +24,9 @@ Two independent routes are provided:
   b-condition only on complete assignments, and is used by the test suite
   to certify the pruned route.  Its enumerator shares no code with the
   pruned search beyond `Graph`, `Colouring` and the cap check, so that the
-  two stay independent; its phi starts at the m_degree bound, which is
-  checked against the unfiltered enumeration.
+  two stay independent (a test checks that it names nothing of the
+  kernel's or the pruned route's); its phi starts at the m_degree bound,
+  which is checked against the unfiltered enumeration.
 
 All statistics are exact rationals.
 """

@@ -22,6 +22,26 @@ def test_build_graph_rejects_out_of_range_endpoint():
         b.build_graph(0, [])
 
 
+@pytest.mark.parametrize("n, edges", [
+    (0, frozenset()),
+    ("3", frozenset()),
+    (3, frozenset({(1, 5)})),
+    (3, frozenset({(2, 1)})),
+    (3, frozenset({(2, 2)})),
+])
+def test_graph_checks_its_own_invariant(n, edges):
+    with pytest.raises(GraphError):
+        b.Graph(n, edges)
+
+
+def test_generators_leave_the_vertex_count_to_the_type():
+    import random
+
+    for make in (b.path, b.complete, lambda n: b.random_connected_graph(n, random.Random(0))):
+        with pytest.raises(GraphError, match="^vertex count must be a positive integer, got 0$"):
+            make(0)
+
+
 def test_single_vertex_graph():
     g = b.build_graph(1, [])
     assert g.n == 1 and g.m == 0 and g.connected

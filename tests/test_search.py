@@ -1,4 +1,5 @@
 import random
+import types
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
@@ -87,6 +88,30 @@ def test_enumerate_validates_at_the_call():
         b.enumerate_b_colourings(b.path(13), 3)
     with pytest.raises(ValueError, match="colour count"):
         b.enumerate_b_colourings(b.path(3), 0)
+
+
+def _referenced_names(code: types.CodeType) -> set[str]:
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _referenced_names(const)
+    return names
+
+
+def test_oracle_shares_no_code_with_the_pruned_search():
+    # the oracle certifies the pruned search, so it must not run any of it
+    kernel_private = {name for name in vars(kernel)
+                      if name.startswith("_") and not name.startswith("__")}
+    assert {"_Prepared", "_b_search", "_build", "_tail"} <= kernel_private
+    pruned = {"_prepare", "_first_k", "_chi", "_phi", "_independence_number",
+              "_partitions_desc", "_extremal_witnesses", "_realize", "chromatic_number",
+              "b_chromatic_number", "min_mean_b_colouring", "max_mean_b_colouring",
+              "full_report"}
+    assert all(callable(getattr(search, name)) for name in pruned)
+    forbidden = {"kernel"} | kernel_private | pruned
+    for fn in (search.enumerate_b_colourings, search._proper_colourings_walk,
+               search.naive_b_chromatic_number, search.naive_extremal):
+        assert not _referenced_names(fn.__code__) & forbidden, fn.__name__
 
 
 def test_min_mean_examples():
