@@ -27,7 +27,8 @@ class Graph:
 
     Edges are stored as a frozenset of (u, v) pairs with u < v; no
     self-loops or parallel edges can be represented.  Construction checks
-    this invariant, n >= 1 and each edge a pair 1 <= u < v <= n, so every
+    this invariant, n >= 1 and each edge a pair 1 <= u < v <= n, all of
+    them exactly int (not a float, a bool or a NumPy integer), so every
     `Graph` holds it; use `build_graph` for unordered or repeated pairs.
     """
 
@@ -35,11 +36,12 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise GraphError(f"vertex count must be a positive integer, got {self.n!r}")
         for e in self.edges:
-            if not (type(e) is tuple and len(e) == 2 and 1 <= e[0] < e[1] <= self.n):
-                raise GraphError(f"edge {e!r} is not a pair 1 <= u < v <= {self.n}")
+            if not (type(e) is tuple and len(e) == 2 and type(e[0]) is type(e[1]) is int
+                    and 1 <= e[0] < e[1] <= self.n):
+                raise GraphError(f"edge {e!r} is not a pair of integers 1 <= u < v <= {self.n}")
 
     @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:

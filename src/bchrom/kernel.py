@@ -23,8 +23,9 @@ class _Prepared:
     # = 2^3w - 1; tail[j][m] = N(m << (3w + 8j)) holds the vertices from 3w on
     nbhd: tuple
     nodes: int = 0          # search nodes explored on this graph so far
-    # k -> (the vertices of degree >= k - 1, slack[v] = deg(v) + 1 - k for each v)
-    slack: dict[int, tuple[int, list[int]]] = field(default_factory=dict)
+    # k -> (live: the vertices of degree >= k - 1, slack[v] = deg(v) + 1 - k
+    # for each v, ones: the vertices of live with k - 1 neighbours in live)
+    slack: dict[int, tuple[int, list[int], int]] = field(default_factory=dict)
 
 
 def _build(g: Graph) -> _Prepared:
@@ -87,7 +88,7 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
     taken before x joins): u loses an uncoloured neighbour and already saw
     c.  Every other u in N(x) loses an uncoloured neighbour and sees c
     anew, and no other slack changes, so slack only falls along a path.
-    Six cuts drop a branch:
+    Seven cuts drop a branch:
       * some class has no b-vertex candidate left;
       * a vertex whose slack fell below 0 is no class's candidate (the
         counting cut, one mask for every class);
@@ -96,6 +97,13 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
         independent: with mu disjoint edges among the vertices that may
         still join it, at most one end of each can, so it can grow by at
         most their number less mu;
+      * in capped mode, an empty class of size 1 that no vertex of ones
+        may join (the size-1 rule): a class {x} has x as its only
+        b-vertex (Irving & Manlove 1999), and every other class's
+        b-vertex sees x's colour, so x has k - 1 distinct neighbours of
+        degree >= k - 1 besides its own degree >= k - 1.  ones, the live
+        vertices with k - 1 live neighbours, is built once per prepared
+        graph and k, and only a vertex of ones may join such a class;
       * in capped mode, a class c with one slot left and no member that
         can still be its b-vertex (the last-joiner cut): the vertex that
         joins c last must be c's b-vertex, so only a live vertex in reach
@@ -130,8 +138,11 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
     known = p.slack.get(k)
     if known is None:  # built once per prepared graph and k
         base = [a.bit_count() + 1 - k for a in adj]
-        known = p.slack[k] = (sum(1 << v for v in range(n) if base[v] >= 0), base)
-    live, slack = known[0], known[1].copy()
+        live = sum(1 << v for v in range(n) if base[v] >= 0)
+        ones = sum(1 << v for v in range(n)
+                   if base[v] >= 0 and (adj[v] & live).bit_count() >= k - 1)
+        known = p.slack[k] = (live, base, ones)
+    live, slack, ones = known[0], known[1].copy(), known[2]
 
     size = [0] * k
     members = [0] * k
@@ -145,8 +156,8 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
     def feasible(free: int, live: int, colours=range(k), downs=range(k - 1, 0, -1),
                  capped=caps is not None, size=size, cap=cap, members=members,
                  blocked=blocked, adj=adj, avail=avail, reach=reach, above=above,
-                 last=last, t0=t0, t1=t1, t2=t2, width=width, width2=2 * width,
-                 mask=mask, covered=covered) -> bool:
+                 last=last, ones=ones, t0=t0, t1=t1, t2=t2, width=width,
+                 width2=2 * width, mask=mask, covered=covered) -> bool:
         common = live  # live, and in reach of each class handled so far
         nl = 0
         for c in colours:
@@ -155,6 +166,8 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
             if size[c] < cap[c]:
                 a = free & ~r
                 if capped and size[c] + 1 == cap[c]:  # reach built below
+                    if not size[c]:  # a class of one vertex: see the size-1 rule
+                        a &= ones
                     if not a:
                         return False
                     avail[c] = a

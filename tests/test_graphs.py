@@ -28,10 +28,23 @@ def test_build_graph_rejects_out_of_range_endpoint():
     (3, frozenset({(1, 5)})),
     (3, frozenset({(2, 1)})),
     (3, frozenset({(2, 2)})),
+    (3, frozenset({(1, 2.5)})),
+    (3, frozenset({(True, 2)})),
+    (True, frozenset()),
 ])
 def test_graph_checks_its_own_invariant(n, edges):
     with pytest.raises(GraphError):
         b.Graph(n, edges)
+
+
+def test_edge_endpoints_must_be_ints():
+    # an endpoint that only compares like an int is not enough: the search
+    # indexes lists with it and calls int methods on it
+    with pytest.raises(GraphError, match="not a pair of integers"):
+        b.build_graph(3, [(1, 2.5), (2.5, 3)])
+    np = pytest.importorskip("numpy")
+    with pytest.raises(GraphError, match="not a pair of integers"):
+        b.build_graph(3, [(np.int64(1), np.int64(2))])
 
 
 def test_generators_leave_the_vertex_count_to_the_type():

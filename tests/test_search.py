@@ -220,10 +220,12 @@ def _gnp_draws():
 def test_full_report_node_counts_are_pinned():
     # exact counts, so that a change to the search that moves them shows;
     # without the pooled count of the classes waiting for an uncoloured
-    # b-vertex, draws[0] takes 4,104 nodes and draws[16] 5,339
+    # b-vertex, draws[0] takes 4,104 nodes and draws[16] 5,339; without the
+    # size-1 rule, sunlet(8) takes 1,562, draws[0] 3,816, sunlet(11) 8,932
+    # and draws[16] 3,613
     draws = _gnp_draws()
-    for g, nodes in ((b.wheel(10), 237), (b.sunlet(8), 1562), (b.closed_ladder(8), 3271),
-                     (draws[0], 3816), (b.sunlet(11), 8932), (draws[16], 3613)):
+    for g, nodes in ((b.wheel(10), 237), (b.sunlet(8), 302), (b.closed_ladder(8), 3271),
+                     (draws[0], 3680), (b.sunlet(11), 1519), (draws[16], 2024)):
         assert b.full_report(g).nodes_explored == nodes, g
 
 
@@ -244,12 +246,13 @@ def test_random_21_vertex_report_nodes_are_pinned():
     # the 21-vertex draw of the random-gnp benchmark: its scan refutes
     # vectors that end in classes of one vertex, where the last-joiner cut
     # admits only a vertex that can be the class's b-vertex; 192,111
-    # nodes without that cut, and 114,449 without the pooled count of the
-    # classes waiting for an uncoloured b-vertex
+    # nodes without that cut, 114,449 without the pooled count of the
+    # classes waiting for an uncoloured b-vertex, and 54,645 without the
+    # size-1 rule
     rng = random.Random(21)
     g = b.random_connected_graph(21, rng, rng.uniform(0.2, 0.35))
     r = b.full_report(g)
-    assert (r.chi, r.phi, r.nodes_explored) == (4, 6, 54645)
+    assert (r.chi, r.phi, r.nodes_explored) == (4, 6, 39406)
 
 
 def test_trivial_graph_report_warns():
@@ -364,6 +367,34 @@ def test_b_search_is_exact_against_the_oracle():
                     assert caps is None or colouring.strengths() == caps, where
                 checks += 1
     assert checks > 800
+
+
+def test_a_class_of_one_vertex_takes_only_a_vertex_with_k_minus_1_live_neighbours():
+    # a class {x} has x as its b-vertex, and every other class's b-vertex
+    # sees x's colour: x has k - 1 neighbours of degree >= k - 1.  No
+    # sunlet vertex has three, so at k = 4 a vector ending in 1 is refuted
+    # as soon as the first vertex is placed; (14, 9, 4, 1) took 13,465
+    # nodes without the rule
+    p = search._prepare(b.sunlet(14), None, False)
+    ending_in_1 = [t for t in search._partitions_desc(28, 4, 14) if t[-1] == 1]
+    assert (14, 9, 4, 1) in ending_in_1
+    for theta in ending_in_1:
+        before = p.nodes
+        assert search._b_search(p, 4, theta) is None and p.nodes - before <= 4, theta
+    # the whole scan of sunlet(16): 46,163 nodes without the rule
+    p = search._prepare(b.sunlet(16), None, False)
+    search._extremal_witnesses(p, 4)
+    assert p.nodes == 314
+    # the rule binds on part of the oracle's corpus, so the oracle test
+    # above checks it
+    binding = 0
+    for _, g in _small_graphs():
+        p = search._prepare(g, None, False)
+        for k in range(1, g.n + 1):
+            search._b_search(p, k, None)
+            live, _, ones = p.slack[k]
+            binding += ones != live
+    assert binding > 0
 
 
 def test_prefix_search_is_exact_against_the_oracle():
