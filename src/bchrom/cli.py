@@ -114,6 +114,7 @@ def _colouring_record(g, c, descriptor: str) -> dict:
     failing = [colour for colour in range(1, c.k + 1)
                if not stats.b_vertices(g, c, colour)]
     surjective = all(t > 0 for t in d.strengths)
+    moments = stats.stats_from_strengths(d.strengths)
     return _record(
         "stats",
         graph=descriptor,
@@ -122,11 +123,11 @@ def _colouring_record(g, c, descriptor: str) -> dict:
         k=c.k,
         strengths=list(d.strengths),
         pmf=list(d.pmf),
-        mean=stats.mean(d),
-        variance=stats.variance(d),
+        mean=moments.mean,
+        variance=moments.variance,
         proper=proper,
         uses_all_colours=surjective,
-        b_colouring=stats.is_b_colouring(g, c),
+        b_colouring=proper and not failing,
         classes_without_b_vertex=failing,
     )
 

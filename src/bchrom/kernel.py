@@ -19,8 +19,9 @@ class _Prepared:
     adj: list[int]          # adj[v]: neighbour bitmask of v (bit u set when u ~ v, 0-based)
     order: list[int]        # the vertex order the search colours in
     # N(S) for a vertex mask S, by lookup (see _build): (t0, t1, t2, tail, w,
-    # mask, covered), with tj[m] = N(m << jw) for S's w-bit chunk j and covered
-    # = 2^3w - 1; tail[j][m] = N(m << (3w + 8j)) holds the vertices from 3w on
+    # mask, covered), every table w bits wide: tj[m] = N(m << jw) for S's
+    # chunk j, tail[j][m] = N(m << (3 + j)w) for the vertices from 3w on, and
+    # covered = 2^3w - 1
     nbhd: tuple
     nodes: int = 0          # search nodes explored on this graph so far
     # k -> (live: the vertices of degree >= k - 1, slack[v] = deg(v) + 1 - k
@@ -30,17 +31,16 @@ class _Prepared:
 
 def _build(g: Graph) -> _Prepared:
     """g's bitmasks and neighbourhood tables, in degree-descending vertex
-    order (ties by index).  The tables t0, t1, t2 have width w = min(11,
-    max(8, ceil(n/3))), so three lookups cover vertices 0..3w-1, every
-    vertex up to n = 33; for n <= 24 they are the byte tables of vertices
-    0..23.  Past 3w the tail has one byte table per 8 vertices, which only a
-    cap raised past 33 vertices reaches."""
+    order (ties by index).  Every table has width w = min(11, ceil(n/3)):
+    t0, t1, t2 cover vertices 0..3w-1, every vertex up to n = 33, with
+    three lookups.  Past 3w the tail has one table per w vertices, which
+    only a cap raised past 33 vertices reaches."""
     adj = [sum(1 << (w - 1) for w in g.adjacency[v]) for v in g.vertices()]
-    w = min(11, max(8, -(-g.n // 3)))
+    w = min(11, -(-g.n // 3))
     tables = []
-    for base, width in [(0, w), (w, w), (2 * w, w), *((b, 8) for b in range(3 * w, g.n, 8))]:
+    for base in range(0, max(g.n, 3 * w), w):
         table = [0]
-        for u in range(base, min(base + width, g.n)):
+        for u in range(base, min(base + w, g.n)):
             table += [m | adj[u] for m in table]
         tables.append(table)
     order = sorted(range(g.n), key=lambda v: (-adj[v].bit_count(), v))
@@ -58,17 +58,17 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
     class i+1, and sum(caps) must equal n); None leaves sizes free.  caps
     must be monotone (non-increasing or non-decreasing), so that labels
     with equal caps are adjacent.  A non-empty head fixes the colours of
-    vertices 0..j-1 to head[:-1], where j = len(head) - 1: they are the
-    starting state, first tested by the cuts together with the next vertex
-    placed, and only completions of it are searched.  Vertex j is then
-    coloured first, ahead of the rest of order, and only with colours
-    1..head[-1]-1, so the first solution gives j the smallest such colour
-    that any completion allows.  The other vertices are coloured in order
-    and take colours in ascending label order; of two labels with equal
-    caps that are both still empty, only the lower may open, since
-    swapping them maps any completion onto another.  So with the identity
-    vertex order the first solution is the lexicographically smallest
-    completion.
+    vertices 0..j-1 to head[:-1], where j = len(head) - 1, and head[:-1] is
+    proper and within caps: it is the starting state, first tested by the
+    cuts together with the next vertex placed, and only completions of it
+    are searched.  Vertex j is then coloured first, ahead of the rest of
+    order, and only with colours 1..head[-1]-1, so the first solution
+    gives j the smallest such colour that any completion allows.  The
+    other vertices are coloured in order and take colours in ascending
+    label order; of two labels with equal caps that are both still empty,
+    only the lower may open, since swapping them maps any completion onto
+    another.  So with the identity vertex order the first solution is the
+    lexicographically smallest completion.
 
     The state is colour-major: per class c, the vertex mask members[c] and
     blocked[c], the vertices adjacent to class c.  A vertex may still join c
@@ -176,7 +176,7 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
                     continue
                 r |= t0[a & mask] | t1[a >> width & mask] | t2[a >> width2 & mask]
                 if a > covered:
-                    r |= _tail(tail, a >> width2 + width)
+                    r |= _tail(tail, a >> width2 + width, width, mask)
                 if capped:
                     # spare: how many of the vertices in a class c can leave out
                     spare = size[c] + a.bit_count() - cap[c]
@@ -213,7 +213,7 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
                 avail[c] = a
             r = blocked[c] | t0[a & mask] | t1[a >> width & mask] | t2[a >> width2 & mask]
             if a > covered:
-                r |= _tail(tail, a >> width2 + width)
+                r |= _tail(tail, a >> width2 + width, width, mask)
             reach[c] = r
             common &= r
         # candidates of c: AND of reach[d] over d != c, as the AND over
@@ -233,13 +233,9 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
             below &= reach[c]
         return pool.bit_count() >= need
 
-    # head[:-1] is the starting state; an improper or overfull one has no
-    # completion
-    for v, c in enumerate(head[:-1]):
+    for v, c in enumerate(head[:-1]):  # the starting state
         c -= 1
         r = blocked[c]
-        if r >> v & 1 or size[c] == cap[c]:
-            return None
         size[c] += 1
         members[c] |= 1 << v
         blocked[c] = r | adj[v]
@@ -315,12 +311,12 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
         p.nodes += nodes
 
 
-def _tail(tables: list[list[int]], m: int) -> int:
-    """N(S) over the tail's byte tables, for m = S >> 3w."""
+def _tail(tables: list[list[int]], m: int, width: int, mask: int) -> int:
+    """N(S) over the tail's w-bit tables, for m = S >> 3w."""
     r = 0
     for table in tables:
         if not m:
             break
-        r |= table[m & 255]
-        m >>= 8
+        r |= table[m & mask]
+        m >>= width
     return r

@@ -184,8 +184,9 @@ def _extremal_witnesses(p: _Prepared, k: int) -> tuple[list[int], list[int]]:
     multiset maximises the mean (ascending labels) exactly when it
     minimises it (descending labels): reversing labels maps one optimum
     onto the other.  So one pass serves both ends, which differ only in
-    the strength-vector tie-break among the hits; the max end's witness is
-    its hit with each colour c relabelled k + 1 - c.
+    the strength-vector tie-break among the hits: the min end's witness is
+    the first hit, as the group is sorted by sizes, and the max end's is
+    the hit of least reversed sizes, each colour c relabelled k + 1 - c.
     """
     if k < 1:
         raise ValueError("colour count must be >= 1")
@@ -198,7 +199,7 @@ def _extremal_witnesses(p: _Prepared, k: int) -> tuple[list[int], list[int]]:
             if assignment is not None:
                 hits.append((theta, assignment))
         if hits:
-            low = min(hits, key=itemgetter(0))[1]
+            low = hits[0][1]
             high = min(hits, key=lambda hit: hit[0][::-1])[1]
             return low, [k + 1 - c for c in high]
     raise NoBColouringError(f"no b-colouring of this graph uses exactly {k} colours")

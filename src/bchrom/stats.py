@@ -123,14 +123,8 @@ def b_vertices(g: Graph, c: Colouring, colour: int) -> frozenset[int]:
 
 
 def is_b_colouring(g: Graph, c: Colouring) -> bool:
-    """Proper, uses every colour 1..k, and every class contains a b-vertex."""
-    _check_cover(g.n, c)
-    if not is_proper(g, c):
-        return False
-    strengths = c.strengths()
-    if any(t == 0 for t in strengths):
-        return False
-    return all(b_vertices(g, c, colour) for colour in range(1, c.k + 1))
+    """Proper, and every class 1..k has a b-vertex (so none is empty)."""
+    return is_proper(g, c) and all(b_vertices(g, c, colour) for colour in range(1, c.k + 1))
 
 
 def distribution(g: Graph, c: Colouring) -> ColourDistribution:

@@ -586,6 +586,33 @@ def test_realize_searches_at_most_once_per_vertex(monkeypatch):
         assert len(calls) <= len(p.adj), (len(p.adj), calls)
 
 
+def test_realize_passes_a_proper_head_within_caps(monkeypatch):
+    # _b_search replays head[:-1] without checking it: realize must pass a
+    # prefix that is proper and has no class past its cap
+    gnp = _gnp_draws()[0]
+    real = search._b_search
+    heads = []
+
+    def recording(p, k, caps, head=()):
+        heads.append((p, caps, head))
+        return real(p, k, caps, head)
+
+    cases = []
+    for g in (b.wheel(30), b.sunlet(8), b.closed_ladder(8), gnp):
+        p = search._prepare(g, None, False)
+        k = b.b_chromatic_number(g)
+        cases += [(p, k, witness) for witness in search._extremal_witnesses(p, k)]
+    monkeypatch.setattr(search, "_b_search", recording)
+    for p, k, witness in cases:
+        search._realize(p, k, witness)
+    assert heads
+    for p, caps, head in heads:
+        fixed = head[:-1]
+        for v, c in enumerate(fixed):
+            assert all(fixed[u] != c for u in range(v) if p.adj[v] >> u & 1), (head, v)
+        assert all(fixed.count(c) <= cap for c, cap in enumerate(caps, start=1)), (head, caps)
+
+
 def test_cubic_graphs_past_the_oracle():
     # Jakovac & Klavzar (2010): every cubic graph has b-chromatic number 4
     # except four graphs, among them the prism, the Petersen graph and K3,3
@@ -617,12 +644,12 @@ def test_cap_below_one_is_malformed():
 
 
 def test_neighbourhood_tables_match_the_adjacency():
-    # t0, t1, t2 hold w = min(11, max(8, ceil(n/3))) vertices each, the
-    # tail one byte table per 8 vertices from 3w on; an entry m of a table
-    # is N of the vertices its bits name, and the lookup of a vertex set S
-    # is the union of adj over S
+    # every table holds w = min(11, ceil(n/3)) vertices: t0, t1, t2 the
+    # first 3w, the tail one table per w vertices from 3w on; an entry m of
+    # a table is N of the vertices its bits name, and the lookup of a vertex
+    # set S is the union of adj over S
     rng = random.Random(5)
-    for n in (1, 8, 9, 11, 24, 25, 33, 34, 40, 60):
+    for n in (1, 2, 4, 7, 8, 9, 11, 24, 25, 33, 34, 40, 60):
         edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
                  if rng.random() < 0.3]
         p = kernel._build(b.graphs.build_graph(n, edges))
@@ -634,16 +661,16 @@ def test_neighbourhood_tables_match_the_adjacency():
                 out |= p.adj[u]
             return out
 
-        assert (w, mask, covered) == (min(11, max(8, -(-n // 3))), 2 ** w - 1, 2 ** (3 * w) - 1)
-        spans = [(0, w), (w, w), (2 * w, w), *((base, 8) for base in range(3 * w, n, 8))]
+        assert (w, mask, covered) == (min(11, -(-n // 3)), 2 ** w - 1, 2 ** (3 * w) - 1)
+        spans = range(0, max(n, 3 * w), w)
         assert len(tail) == len(spans) - 3
-        for table, (base, width) in zip((t0, t1, t2, *tail), spans):
-            vertices = range(base, min(base + width, n))
+        for table, base in zip((t0, t1, t2, *tail), spans):
+            vertices = range(base, min(base + w, n))
             assert len(table) == 2 ** len(vertices), (n, base)
             for m in {0, len(table) - 1, *(rng.randrange(len(table)) for _ in range(40))}:
                 assert table[m] == union(u for i, u in enumerate(vertices) if m >> i & 1), (n, base, m)
         for s in [1 << u for u in range(n)] + [rng.getrandbits(n) for _ in range(40)]:
             looked_up = t0[s & mask] | t1[s >> w & mask] | t2[s >> 2 * w & mask]
             if s > covered:
-                looked_up |= kernel._tail(tail, s >> 3 * w)
+                looked_up |= kernel._tail(tail, s >> 3 * w, w, mask)
             assert looked_up == union(u for u in range(n) if s >> u & 1), (n, s)
