@@ -80,12 +80,6 @@ def checked_generate(family, n: int, max_n: int | None = None,
     return spec.generator(n)
 
 
-def _check_domain(family: Family, n: int) -> None:
-    lo = _FAMILIES[family].min_n
-    if n < lo:
-        raise ValueError(f"{family.value} closed forms require n >= {lo}, got {n}")
-
-
 def printed_value(family, n: int) -> tuple[Fraction, Fraction]:
     """Mean and variance exactly as printed, including known slips.
 
@@ -94,7 +88,9 @@ def printed_value(family, n: int) -> tuple[Fraction, Fraction]:
     registry note).
     """
     family = Family(family)
-    _check_domain(family, n)
+    lo = _FAMILIES[family].min_n
+    if n < lo:
+        raise ValueError(f"{family.value} closed forms require n >= {lo}, got {n}")
     F = Fraction
     if family is Family.PATH:
         if n == 2:
@@ -236,7 +232,7 @@ def corrected_value(family, n: int) -> tuple[Fraction, Fraction, str]:
     """Search-certified mean and variance, with a note where they differ
     from the printed forms (empty note means the row has no erratum)."""
     family = Family(family)
-    _check_domain(family, n)
+    # no rule covers an n below the family's least n: printed_value rejects it
     rule = _erratum(family, n)
     if rule is None:
         return (*printed_value(family, n), "")

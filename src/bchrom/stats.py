@@ -65,21 +65,23 @@ class Colouring:
 
 @dataclass(frozen=True)
 class ColourDistribution:
-    """Strength vector and the induced p.m.f. f(i) = theta(c_i) / n."""
+    """Class sizes theta(c_1)..theta(c_k); k, n and the p.m.f.
+    f(i) = theta(c_i) / n are read from them."""
 
-    k: int
-    n: int
     strengths: tuple[int, ...]
-    pmf: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        if not len(self.strengths) == len(self.pmf) == self.k:
-            raise ValueError(f"need k = {self.k} strengths and pmf entries, got "
-                             f"{len(self.strengths)} and {len(self.pmf)}")
-        if sum(self.strengths) != self.n:
-            raise ValueError("strengths must sum to the vertex count")
-        if any(f != Fraction(t, self.n) for t, f in zip(self.strengths, self.pmf)):
-            raise ValueError("pmf inconsistent with strengths")
+    @property
+    def k(self) -> int:
+        return len(self.strengths)
+
+    @property
+    def n(self) -> int:
+        return sum(self.strengths)
+
+    @property
+    def pmf(self) -> tuple[Fraction, ...]:
+        n = self.n
+        return tuple(Fraction(t, n) for t in self.strengths)
 
 
 @dataclass(frozen=True, order=True)
@@ -128,16 +130,16 @@ def is_b_colouring(g: Graph, c: Colouring) -> bool:
 
 
 def distribution(g: Graph, c: Colouring) -> ColourDistribution:
-    """Exact p.m.f. induced by class sizes.  Defined for any assignment,
-    proper or not; validity is checked separately so callers can compose."""
+    """Class sizes of any assignment, proper or not; validity is checked
+    separately so callers can compose."""
     _check_cover(g.n, c)
-    strengths = c.strengths()
-    pmf = tuple(Fraction(t, g.n) for t in strengths)
-    return ColourDistribution(c.k, g.n, strengths, pmf)
+    return ColourDistribution(c.strengths())
 
 
 def stats_from_strengths(strengths) -> ChromaStats:
     """Mean/variance of the colour index when class i has the given size."""
+    if min(strengths, default=0) < 0:
+        raise ValueError(f"negative class size in {strengths}")
     n = sum(strengths)
     if n == 0:
         raise ValueError("empty strength vector")
@@ -159,5 +161,4 @@ def variance(d: ColourDistribution) -> Fraction:
 
 def colouring_stats(g: Graph, c: Colouring) -> ChromaStats:
     """Mean/variance of a colouring of g (any assignment)."""
-    _check_cover(g.n, c)
-    return stats_from_strengths(c.strengths())
+    return stats_from_strengths(distribution(g, c).strengths)

@@ -158,6 +158,10 @@ def test_exit_code_usage_errors():
     assert code == 2
     code, _, _ = run_cli("gen", "--family", "complete-bipartite", "--n", "2")
     assert code == 2
+    code, _, err = run_cli("verify", "--family", "path", "--range", "5..3")
+    assert code == 2 and err == "error: empty range '5..3'\n"
+    code, _, err = run_cli("stats", "--family", "path", "--n", "2", "--graph", "g.col")
+    assert code == 2 and err == "error: give either --family or --graph, not both\n"
 
 
 def test_exit_code_invalid_colouring(tmp_path):
@@ -565,6 +569,88 @@ closed-ladder,odd n >= 7,"mean (3n+8)/(2n), variance (n^2+28n-64)/(4n^2)","mean 
 """
 
 
+PINNED_COMPLETE_SWEEP_JSON = """\
+{
+  "tool": "bchrom",
+  "version": "0.1.0",
+  "command": "sweep",
+  "family": "complete",
+  "range": [
+    2,
+    3
+  ],
+  "rows": [
+    {
+      "family": "complete",
+      "n": 2,
+      "phi": 2,
+      "printed_mean": {
+        "num": 3,
+        "den": 2
+      },
+      "printed_variance": {
+        "num": 1,
+        "den": 4
+      },
+      "corrected_mean": {
+        "num": 3,
+        "den": 2
+      },
+      "corrected_variance": {
+        "num": 1,
+        "den": 4
+      },
+      "search_mean": {
+        "num": 3,
+        "den": 2
+      },
+      "search_variance": {
+        "num": 1,
+        "den": 4
+      },
+      "errata": false,
+      "consistent": true,
+      "note": "",
+      "error": ""
+    },
+    {
+      "family": "complete",
+      "n": 3,
+      "phi": 3,
+      "printed_mean": {
+        "num": 2,
+        "den": 1
+      },
+      "printed_variance": {
+        "num": 2,
+        "den": 3
+      },
+      "corrected_mean": {
+        "num": 2,
+        "den": 1
+      },
+      "corrected_variance": {
+        "num": 2,
+        "den": 3
+      },
+      "search_mean": {
+        "num": 2,
+        "den": 1
+      },
+      "search_variance": {
+        "num": 2,
+        "den": 3
+      },
+      "errata": false,
+      "consistent": true,
+      "note": "",
+      "error": ""
+    }
+  ]
+}
+"""
+
+
 def test_cli_bytes_are_pinned(tmp_path):
     colouring = tmp_path / "c.txt"
     colouring.write_text("2\n1 1\n2 2\n3 1\n4 2\n")
@@ -587,6 +673,9 @@ def test_cli_bytes_are_pinned(tmp_path):
           "--format", "csv"), 0, PINNED_CYCLE4_COLOURING_CSV),
         # the errata registry, one row per rule
         (("errata",), 0, PINNED_ERRATA_CSV),
+        # a sweep as JSON: each row's rationals as num/den pairs
+        (("sweep", "--family", "complete", "--range", "2..3", "--format", "json"), 0,
+         PINNED_COMPLETE_SWEEP_JSON),
     ]
     for argv, want_code, want_out in cases:
         code, out, _ = run_cli(*argv)

@@ -139,6 +139,10 @@ def test_registry_and_csv():
             assert len(hits) <= 1, (family, n, [r.applies_to for r in hits])
             used.update(hits)
     assert used == set(ERRATA_REGISTRY)
+    # corrected_value leaves the domain check to printed_value, so no rule
+    # may cover an n below its family's least n
+    for rule in ERRATA_REGISTRY:
+        assert not any(rule.condition(n) for n in range(-5, _FAMILIES[rule.family].min_n))
 
 
 def test_rule_sizes_are_the_searched_minimum_colouring():

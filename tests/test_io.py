@@ -69,6 +69,7 @@ def test_dimacs_accepts_disconnected():
     "px edge 2 1\ne 1 2\n",
     "p edge 2 1\nex 1 2\n",
     "p edge 2 1\ncount 7\ne 1 2\n",  # a comment's first token is exactly c
+    "", "c only\n",               # no problem line at all
 ])
 def test_malformed_dimacs(text):
     with pytest.raises(FormatError):

@@ -181,6 +181,12 @@ def test_no_b_colouring_raises():
         b.max_mean_b_colouring(b.path(3), 5)
     with pytest.raises(ValueError):
         b.min_mean_b_colouring(b.path(3), 0)
+    # the naive oracle refuses the same pairs
+    for g, k in [(b.cycle(4), 3), (b.path(4), 3), (b.path(5), 4), (b.path(3), 5)]:
+        with pytest.raises(NoBColouringError):
+            b.naive_extremal(g, k)
+    with pytest.raises(ValueError):
+        b.naive_extremal(b.path(3), 0)
 
 
 def test_full_report_examples():

@@ -71,14 +71,13 @@ def test_distribution_examples():
 
 
 def test_distribution_lengths_must_match_k():
-    half = (F(1, 2), F(1, 2))
-    # k = 3 with two strengths: the third colour would be silently dropped
-    with pytest.raises(ValueError):
-        b.ColourDistribution(3, 2, (1, 1), half)
-    # pmf shorter than strengths
-    with pytest.raises(ValueError):
-        b.ColourDistribution(3, 3, (1, 1, 1), (F(1, 3), F(1, 3)))
-    assert b.ColourDistribution(2, 2, (1, 1), half).k == 2
+    # k, n and the p.m.f. are read from the class sizes, so they cannot disagree
+    d = b.ColourDistribution((1, 1))
+    assert (d.k, d.n, d.pmf) == (2, 2, (F(1, 2), F(1, 2)))
+    assert d == b.distribution(b.path(2), b.Colouring(2, (1, 2)))
+    # an unused colour stays an empty class instead of being silently dropped
+    d3 = b.distribution(b.path(2), b.Colouring(3, (1, 2)))
+    assert (d3.k, d3.strengths, d3.pmf) == (3, (1, 1, 0), (F(1, 2), F(1, 2), F(0)))
 
 
 def test_mean_examples():
@@ -97,6 +96,12 @@ def test_variance_examples():
     assert b.variance(d) == F(2, 9)
     single = b.stats_from_strengths((7,))
     assert single.variance == 0
+    # a class size below zero is no class at all; an empty class is one
+    with pytest.raises(ValueError):
+        b.stats_from_strengths((3, -1))
+    with pytest.raises(ValueError):
+        b.mean(b.ColourDistribution((3, -1)))
+    assert b.stats_from_strengths((0, 2)) == b.ChromaStats(F(2), F(0))
     # statistics order by mean, then variance
     stats = [b.ChromaStats(F(2), F(1)), b.ChromaStats(F(1), F(5)), b.ChromaStats(F(2), F(0))]
     assert sorted(stats) == [stats[1], stats[2], stats[0]]
