@@ -24,9 +24,10 @@ class _Prepared:
     # covered = 2^3w - 1
     nbhd: tuple
     nodes: int = 0          # search nodes explored on this graph so far
-    # k -> (live: the vertices of degree >= k - 1, slack[v] = deg(v) + 1 - k
-    # for each v, ones: the vertices of live with k - 1 neighbours in live)
-    slack: dict[int, tuple[int, list[int], int]] = field(default_factory=dict)
+    # k -> [live: the vertices of degree >= k - 1, slack[v] = deg(v) + 1 - k
+    # for each v, ones: the vertices of live with k - 1 neighbours in live,
+    # None until a capped search at k reads it]
+    slack: dict[int, list] = field(default_factory=dict)
 
 
 def _build(g: Graph) -> _Prepared:
@@ -103,7 +104,8 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
         b-vertex sees x's colour, so x has k - 1 distinct neighbours of
         degree >= k - 1 besides its own degree >= k - 1.  ones, the live
         vertices with k - 1 live neighbours, is built once per prepared
-        graph and k, and only a vertex of ones may join such a class;
+        graph and k, by the first capped search at k, and only a vertex of
+        ones may join such a class;
       * in capped mode, a class c with one slot left and no member that
         can still be its b-vertex (the last-joiner cut): the vertex that
         joins c last must be c's b-vertex, so only a live vertex in reach
@@ -139,10 +141,11 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
     if known is None:  # built once per prepared graph and k
         base = [a.bit_count() + 1 - k for a in adj]
         live = sum(1 << v for v in range(n) if base[v] >= 0)
-        ones = sum(1 << v for v in range(n)
-                   if base[v] >= 0 and (adj[v] & live).bit_count() >= k - 1)
-        known = p.slack[k] = (live, base, ones)
+        known = p.slack[k] = [live, base, None]
     live, slack, ones = known[0], known[1].copy(), known[2]
+    if ones is None and caps is not None:  # only capped searches read ones
+        ones = known[2] = sum(1 << v for v in range(n)
+                              if live >> v & 1 and (adj[v] & live).bit_count() >= k - 1)
 
     size = [0] * k
     members = [0] * k

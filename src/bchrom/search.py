@@ -19,14 +19,19 @@ Two independent routes are provided:
   `kernel._b_search`.  Every phase runs the kernel in degree order alone;
 
 * the naive oracle (`enumerate_b_colourings`, `naive_b_chromatic_number`,
-  `naive_extremal`), which walks every proper labelled colouring in
-  lexicographic order, pruning on propriety alone and testing the
-  b-condition only on complete assignments, and is used by the test suite
-  to certify the pruned route.  Its enumerator shares no code with the
-  pruned search beyond `Graph`, `Colouring` and the cap check, so that the
-  two stay independent (a test checks that it names nothing of the
-  kernel's or the pruned route's); its phi starts at the m_degree bound,
-  which is checked against the unfiltered enumeration.
+  `naive_extremal`), which walks the proper labelled colourings in
+  lexicographic order and is used by the test suite to certify the pruned
+  route.  It tests each vertex that can be a b-vertex once, at the depth
+  where its closed neighbourhood is coloured, so its verdict is final
+  there.  Its one cut: once every such vertex is coloured, a colour that
+  is neither settled by a passed test nor held by a vertex still to be
+  tested can get no b-vertex below, so the walk backs up.  That drops
+  only subtrees without a b-colouring, and the stream is that of the
+  unpruned walk.  Its enumerator shares no code with the pruned search
+  beyond `Graph`, `Colouring` and the cap check, so that the two stay
+  independent (a test checks that it names nothing of the kernel's or
+  the pruned route's); its phi starts at the m_degree bound, which is
+  checked against the unfiltered enumeration.
 
 All statistics are exact rationals.
 """
@@ -282,12 +287,14 @@ def enumerate_b_colourings(g: Graph, k: int, max_n: int | None = None) -> Iterat
     in lexicographic order of the assignment vector.  The cap and k are
     checked at the call, before the first colouring is asked for.
 
-    Deliberately unoptimised: it visits every proper colouring with colours
-    1..k, filling vertices in index order and trying colours in ascending
-    order; propriety is its only pruning, and the b-condition (which
-    implies surjectivity) is tested only on complete assignments.  It
-    shares no code with the pruned search, so it serves as the independent
-    oracle that certifies it.
+    It fills vertices in index order, tries colours in ascending order and
+    extends only proper partial colourings.  Each vertex that can be a
+    b-vertex is tested once, as soon as its closed neighbourhood is
+    coloured, and the walk backs up as soon as some colour can no longer
+    get a b-vertex; that drops only subtrees without a b-colouring
+    (`_proper_colourings_walk` gives the argument).  It shares no code
+    with the pruned search, so it serves as the independent oracle that
+    certifies it.
     """
     _check_caps(g.n, max_n, DEFAULT_ORACLE_CAP)
     if k < 1:
@@ -297,19 +304,55 @@ def enumerate_b_colourings(g: Graph, k: int, max_n: int | None = None) -> Iterat
 
 def _proper_colourings_walk(g: Graph, k: int) -> Iterator[Colouring]:
     """enumerate_b_colourings' loop over an explicit stack.  Colours are
-    bits (colour c is 1 << (c - 1)).  Depth v keeps the colours vertex v
-    has yet to try, those that no earlier neighbour holds, and a complete
-    assignment is a b-colouring when each class has a vertex whose own and
-    neighbours' colours make up all k bits (only vertices of degree >=
-    k - 1 can)."""
+    bits (colour c is 1 << (c - 1)); depth v colours vertex v, and depth 0
+    is a root with one branch.
+
+    * Propriety: depth v tries only the colours that no earlier neighbour
+      of v holds.
+    * The b-test, once per candidate: only a vertex u of degree >= k - 1
+      can be a b-vertex.  At depth at[u] = max({u} | N(u)) its closed
+      neighbourhood is coloured, and stays so below, so its verdict there
+      is final: u's class has a b-vertex when u and its neighbours hold all
+      k colours.  settled[v] holds the classes that the candidates tested
+      above depth v have shown to have one, and a leaf is a b-colouring
+      exactly when its mask is full, as on a complete assignment.
+    * The back-up rule: from depth top, the last candidate, on, every
+      candidate is coloured, so a class can still get a b-vertex only
+      when it is settled or holds a candidate tested below depth v
+      (later[v], filled in at depth top).  When these miss a colour, no
+      leaf below is a b-colouring, and the walk tries v's next colour.  It
+      drops only subtrees without a b-colouring, so the stream and its
+      order are those of the walk without it.
+
+    A node whose next vertex has no colour left is dropped before it
+    tests anything.  Depths above first, the first that tests or may back
+    up, check propriety alone, and the last vertex's colours are tried in
+    place, as a leaf has nothing to push."""
     n = g.n
     full = (1 << k) - 1
-    earlier = [[u for u in nbrs if u < v] for v, nbrs in enumerate(g.adjacency)]
-    candidates = [(v, g.adjacency[v]) for v in g.vertices() if g.degree(v) >= k - 1]
+    adjacency = g.adjacency
+    earlier = [[] for _ in range(n + 1)]  # earlier[v]: v's neighbours below v
+    at = [*range(n + 1)]
+    for u, w in g.edges:
+        earlier[w].append(u)
+        if w > at[u]:
+            at[u] = w
+    tests = [()] * (n + 1)  # tests[v]: (u, N(u)) for each candidate u with at[u] = v
+    top = 0
+    first = n
+    for u in range(1, n + 1):
+        nbrs = adjacency[u]
+        if len(nbrs) >= k - 1:
+            tests[at[u]] += ((u, nbrs),)
+            top = u
+            first = min(first, at[u])
+    first = min(first, top)
+    leaf = tests[n]
     bits = [0] * (n + 1)     # bits[v]: the colour vertex v holds
-    # to_try[v]: the colours vertex v has yet to try; depth 0 is a root with
-    # one branch, so the walk ends when it backs up to the root
-    to_try = [1] * (n + 1)
+    settled = [0] * (n + 1)
+    later = [0] * (n + 1)
+    to_try = [0] * (n + 1)   # to_try[v]: the colours vertex v has yet to try
+    to_try[0] = 1
     v = 0
     while True:
         left = to_try[v]
@@ -321,27 +364,57 @@ def _proper_colourings_walk(g: Graph, k: int) -> Iterator[Colouring]:
         bit = left & -left
         to_try[v] = left ^ bit
         bits[v] = bit
-        if v < n:
-            v += 1
-            taken = 0
-            for u in earlier[v]:
-                taken |= bits[u]
-            to_try[v] = full & ~taken
+        taken = 0
+        for u in earlier[v + 1]:
+            taken |= bits[u]
+        following = full & ~taken  # the colours vertex v + 1 may take
+        if not following:
             continue
-        settled = 0  # the classes that have a b-vertex
-        for u, nbrs in candidates:
-            own = bits[u]
-            if not settled & own:
-                seen = own
-                for w in nbrs:
-                    seen |= bits[w]
-                if seen == full:
-                    settled |= own
-        if settled == full:
-            # built from a list of known length: a tuple built straight from
-            # an iterator is sized by reallocation, and the freed ones pile
-            # up on CPython's tuple free list, up to 2,000 of each length
-            yield Colouring(k, tuple([*map(int.bit_length, bits[1:])]))
+        if v >= first:
+            s = settled[v]
+            for u, nbrs in tests[v]:
+                own = bits[u]
+                if not s & own:
+                    seen = own
+                    for w in nbrs:
+                        seen |= bits[w]
+                    if seen == full:
+                        s |= own
+            if v >= top:
+                if v == top:
+                    pending = 0
+                    for d in range(n, top, -1):
+                        later[d] = pending
+                        for u, _ in tests[d]:
+                            pending |= bits[u]
+                    later[top] = pending
+                if s | later[v] != full:
+                    continue
+            settled[v + 1] = s
+        v += 1
+        if v < n:
+            to_try[v] = following
+            continue
+        left = following
+        while left:
+            bit = left & -left
+            left ^= bit
+            bits[v] = bit
+            s = settled[v]
+            for u, nbrs in leaf:
+                own = bits[u]
+                if not s & own:
+                    seen = own
+                    for w in nbrs:
+                        seen |= bits[w]
+                    if seen == full:
+                        s |= own
+            if s == full:
+                # built from a list of known length: a tuple built straight from
+                # an iterator is sized by reallocation, and the freed ones pile
+                # up on CPython's tuple free list, up to 2,000 of each length
+                yield Colouring(k, tuple([*map(int.bit_length, bits[1:])]))
+        v -= 1
 
 
 def naive_b_chromatic_number(g: Graph, max_n: int | None = None) -> int:

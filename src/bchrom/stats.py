@@ -66,9 +66,14 @@ class Colouring:
 @dataclass(frozen=True)
 class ColourDistribution:
     """Class sizes theta(c_1)..theta(c_k); k, n and the p.m.f.
-    f(i) = theta(c_i) / n are read from them."""
+    f(i) = theta(c_i) / n are read from them.  The sizes are stored as a
+    tuple, and a negative size or a total of 0 raises ValueError."""
 
     strengths: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "strengths", tuple(self.strengths))
+        _total(self.strengths)
 
     @property
     def k(self) -> int:
@@ -136,13 +141,20 @@ def distribution(g: Graph, c: Colouring) -> ColourDistribution:
     return ColourDistribution(c.strengths())
 
 
-def stats_from_strengths(strengths) -> ChromaStats:
-    """Mean/variance of the colour index when class i has the given size."""
+def _total(strengths) -> int:
+    """n, the sum of the class sizes; ValueError when a size is negative or
+    there is no vertex at all."""
     if min(strengths, default=0) < 0:
         raise ValueError(f"negative class size in {strengths}")
     n = sum(strengths)
     if n == 0:
         raise ValueError("empty strength vector")
+    return n
+
+
+def stats_from_strengths(strengths) -> ChromaStats:
+    """Mean/variance of the colour index when class i has the given size."""
+    n = _total(strengths)
     m1 = sum(i * t for i, t in enumerate(strengths, start=1))
     m2 = sum(i * i * t for i, t in enumerate(strengths, start=1))
     mean_ = Fraction(m1, n)

@@ -68,18 +68,30 @@ def test_enumerate_is_lexicographic_and_valid():
 def test_enumerate_matches_filtering_every_assignment():
     # a third reference that shares no code with the enumerator: every
     # assignment in lexicographic order, kept when it is a b-colouring.
-    # Six-vertex graphs cost about 0.3 s each, so four of them are kept
-    checks = 0
+    # Six-vertex graphs cost about 0.3 s each, so four of them are kept.
+    # sunlet(4) colours its cycle, the only candidates at k = 3 and 4, by
+    # depth 4, so the walk backs up at depths 4 to 7 when a colour can no
+    # longer get a b-vertex
     six = {"wheel(5)", "sunlet(3)", "closed-ladder(3)", "random#9"}
-    for label, g in _small_graphs():
-        if g.n > 5 and label not in six:
-            continue
-        for k in range(1, g.n + 1):
-            expected = [b.Colouring(k, a) for a in product(range(1, k + 1), repeat=g.n)
-                        if b.is_b_colouring(g, b.Colouring(k, a))]
-            assert list(b.enumerate_b_colourings(g, k)) == expected, (label, k)
-            checks += bool(expected)
-    assert checks >= 40
+    cases = [(label, g, k) for label, g in _small_graphs() if g.n <= 5 or label in six
+             for k in range(1, g.n + 1)]
+    cases += [("sunlet(4)", b.sunlet(4), 3), ("sunlet(4)", b.sunlet(4), 4)]
+    checks = 0
+    for label, g, k in cases:
+        expected = [b.Colouring(k, a) for a in product(range(1, k + 1), repeat=g.n)
+                    if b.is_b_colouring(g, b.Colouring(k, a))]
+        assert list(b.enumerate_b_colourings(g, k)) == expected, (label, k)
+        checks += bool(expected)
+    assert checks >= 42
+
+
+def test_enumerate_stream_sizes_on_twelve_vertices():
+    # past the filter's reach: the streams at phi = 4 of two 12-vertex
+    # graphs, in strictly increasing order
+    for g, size in ((b.sunlet(6), 5256), (b.closed_ladder(6), 8136)):
+        stream = [c.colours for c in b.enumerate_b_colourings(g, 4)]
+        assert len(stream) == size
+        assert all(a < c for a, c in zip(stream, stream[1:]))
 
 
 def test_enumerate_validates_at_the_call():
@@ -392,12 +404,15 @@ def test_a_class_of_one_vertex_takes_only_a_vertex_with_k_minus_1_live_neighbour
     search._extremal_witnesses(p, 4)
     assert p.nodes == 314
     # the rule binds on part of the oracle's corpus, so the oracle test
-    # above checks it
+    # above checks it.  ones is built by the first capped search at k: a
+    # free search, as chi and phi run, never reads it
     binding = 0
     for _, g in _small_graphs():
         p = search._prepare(g, None, False)
         for k in range(1, g.n + 1):
             search._b_search(p, k, None)
+            assert p.slack[k][2] is None
+            search._b_search(p, k, (g.n - k + 1,) + (1,) * (k - 1))
             live, _, ones = p.slack[k]
             binding += ones != live
     assert binding > 0

@@ -80,6 +80,24 @@ def test_distribution_lengths_must_match_k():
     assert (d3.k, d3.strengths, d3.pmf) == (3, (1, 1, 0), (F(1, 2), F(1, 2), F(0)))
 
 
+def test_colour_distribution_validates_its_sizes():
+    # sizes given as a list are stored as a tuple, so the two forms are equal
+    # and both hash
+    listed = b.ColourDistribution([1, 1])
+    assert listed.strengths == (1, 1) and type(listed.strengths) is tuple
+    assert listed == b.ColourDistribution((1, 1))
+    assert hash(listed) == hash(b.ColourDistribution((1, 1)))
+    # sizes with no vertex, or a negative size, are refused at construction
+    # with the ValueError that stats_from_strengths gives for them
+    for sizes in ((0, 0), ()):
+        with pytest.raises(ValueError, match="empty strength vector"):
+            b.ColourDistribution(sizes)
+        with pytest.raises(ValueError, match="empty strength vector"):
+            b.stats_from_strengths(sizes)
+    with pytest.raises(ValueError, match="negative class size"):
+        b.ColourDistribution((3, -1))
+
+
 def test_mean_examples():
     d = b.distribution(b.path(3), b.Colouring(2, (1, 2, 1)))
     assert b.mean(d) == F(4, 3)
