@@ -16,6 +16,7 @@ import json
 import random
 import sys
 import warnings
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import __version__, closed_forms, graphs, io as gio, search, stats
@@ -175,37 +176,17 @@ def cmd_phi(args) -> int:
     return EXIT_OK
 
 
-def _sweep_rows(family: str, ns, max_n) -> list[dict]:
-    rows = []
-    for entry in closed_forms.sweep(closed_forms.Family(family), ns, max_n=max_n):
-        rows.append({
-            "family": entry.family.value,
-            "n": entry.n,
-            "phi": entry.search_phi,
-            "printed_mean": entry.printed_mean,
-            "printed_variance": entry.printed_variance,
-            "corrected_mean": entry.corrected_mean,
-            "corrected_variance": entry.corrected_variance,
-            "search_mean": entry.search_mean,
-            "search_variance": entry.search_variance,
-            "errata": entry.errata,
-            "consistent": entry.consistent,
-            "note": entry.note,
-            "error": entry.error,
-        })
-    return rows
-
-
 def cmd_verify(args) -> int:
     ns = _parse_range(args.range)
-    rows = _sweep_rows(args.family, ns, args.max_n)
+    entries = closed_forms.sweep(args.family, ns, max_n=args.max_n)
+    rows = [asdict(e) for e in entries]
     record = _record(
         "verify",
         family=args.family,
         range=[ns.start, ns.stop - 1],
         rows=rows,
-        regressions=sum(1 for r in rows if not r["consistent"] and not r["error"]),
-        cap_errors=sum(1 for r in rows if r["error"]),
+        regressions=sum(1 for e in entries if not e.consistent and not e.error),
+        cap_errors=sum(1 for e in entries if e.error),
     )
     record["status"] = ("regression" if record["regressions"]
                         else "cap-exceeded" if record["cap_errors"] else "ok")
@@ -218,7 +199,7 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     ns = _parse_range(args.range)
-    rows = _sweep_rows(args.family, ns, args.max_n)
+    rows = [asdict(e) for e in closed_forms.sweep(args.family, ns, max_n=args.max_n)]
     if args.format == "json":
         _dump_json(_record("sweep", family=args.family, range=[ns.start, ns.stop - 1],
                            rows=rows), sys.stdout)

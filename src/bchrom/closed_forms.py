@@ -14,8 +14,13 @@ and the class sizes of a b-colouring attaining the corrected value) is the
 only place an erratum is defined: its condition is read from the text and
 its mean and variance are ``stats_from_strengths`` of the sizes.
 ``corrected_value``, ``is_registered_erratum`` and ``errata_table_csv`` all
-read it.  sweep() cross-checks every row against a fresh exact search so a
-regression in either table is caught.
+read it.
+
+sweep() returns one ``ClosedFormEntry`` per n, whose fields, in order, are
+the columns ``bchrom sweep`` and ``bchrom verify`` print.  ``errata``: the
+printed and corrected values differ.  ``consistent``: a fresh exact search
+ran and matches the corrected table, and the row has errata exactly when a
+registered erratum covers it, so a regression in either table is caught.
 """
 
 from __future__ import annotations
@@ -254,36 +259,33 @@ def errata_table_csv() -> str:
 
 @dataclass(frozen=True)
 class ClosedFormEntry:
-    """One sweep row: both table values plus the fresh search result."""
+    """One sweep row: both table values, the fresh search result and the
+    flags of the module docstring, read from them.  A row has a registered
+    erratum when it has a note, as corrected_value gives it."""
 
     family: Family
     n: int
+    phi: int | None
     printed_mean: Fraction
     printed_variance: Fraction
     corrected_mean: Fraction
     corrected_variance: Fraction
-    search_phi: int | None
     search_mean: Fraction | None
     search_variance: Fraction | None
+    errata: bool = field(init=False)
+    consistent: bool = field(init=False)
     note: str
     error: str = ""
 
-    @property
-    def errata(self) -> bool:
-        """The printed and corrected values differ."""
-        return (self.printed_mean != self.corrected_mean
-                or self.printed_variance != self.corrected_variance)
-
-    @property
-    def consistent(self) -> bool:
-        """Corrected table matches the search and every printed/corrected
-        difference is a registered erratum."""
-        if self.error:
-            return False
-        if (self.search_mean != self.corrected_mean
-                or self.search_variance != self.corrected_variance):
-            return False
-        return self.errata == is_registered_erratum(self.family, self.n)
+    def __post_init__(self):
+        errata = (self.printed_mean != self.corrected_mean
+                  or self.printed_variance != self.corrected_variance)
+        object.__setattr__(self, "errata", errata)
+        object.__setattr__(self, "consistent", (
+            not self.error
+            and (self.search_mean, self.search_variance)
+            == (self.corrected_mean, self.corrected_variance)
+            and errata == bool(self.note)))
 
 
 def sweep(family, ns, max_n: int | None = None) -> list[ClosedFormEntry]:
@@ -302,9 +304,9 @@ def sweep(family, ns, max_n: int | None = None) -> list[ClosedFormEntry]:
             phi = sm = sv = None
             error = str(exc)
         entries.append(ClosedFormEntry(
-            family=family, n=n,
+            family=family, n=n, phi=phi,
             printed_mean=pm, printed_variance=pv,
             corrected_mean=cm, corrected_variance=cv,
-            search_phi=phi, search_mean=sm, search_variance=sv,
+            search_mean=sm, search_variance=sv,
             note=note, error=error))
     return entries

@@ -87,6 +87,11 @@ def _check_caps(n: int, max_n: int | None, default: int) -> None:
         raise SearchCapError(f"graph has {n} vertices, cap is {cap}")
 
 
+def _check_k(k) -> None:
+    if type(k) is not int or k < 1:
+        raise ValueError(f"colour count must be an int >= 1, got {k!r}")
+
+
 def _prepare(g: Graph, max_n: int | None, allow_disconnected: bool) -> _Prepared:
     """Gate on the search cap and connectivity, then prepare g for the
     kernel."""
@@ -193,8 +198,7 @@ def _extremal_witnesses(p: _Prepared, k: int) -> tuple[list[int], list[int]]:
     the first hit, as the group is sorted by sizes, and the max end's is
     the hit of least reversed sizes, each colour c relabelled k + 1 - c.
     """
-    if k < 1:
-        raise ValueError("colour count must be >= 1")
+    _check_k(k)
     candidates = _partitions_desc(len(p.adj), k, _independence_number(p.adj))
     for _, group in groupby(sorted((stats_from_strengths(t), t) for t in candidates),
                             key=itemgetter(0)):
@@ -297,8 +301,7 @@ def enumerate_b_colourings(g: Graph, k: int, max_n: int | None = None) -> Iterat
     certifies it.
     """
     _check_caps(g.n, max_n, DEFAULT_ORACLE_CAP)
-    if k < 1:
-        raise ValueError("colour count must be >= 1")
+    _check_k(k)
     return _proper_colourings_walk(g, k)
 
 

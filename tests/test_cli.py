@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import subprocess
@@ -9,6 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import bchrom as b
 from bchrom.cli import main
+from bchrom.closed_forms import ClosedFormEntry
 
 
 def run_cli(*argv):
@@ -318,7 +320,8 @@ def test_sweep_csv():
     code, out, _ = run_cli("sweep", "--family", "complete", "--range", "1..5")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0].startswith("family,n,phi,")
+    # the columns are ClosedFormEntry's fields, in order
+    assert lines[0] == ",".join(f.name for f in dataclasses.fields(ClosedFormEntry))
     assert len(lines) == 6
     assert "complete,4,4,5/2,5/4,5/2,5/4,5/2,5/4,False,True,," in lines
 

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -124,6 +125,8 @@ def test_registry_and_csv():
     lines = text.strip().splitlines()
     assert lines[0] == "family,applies_to,printed,corrected,note"
     assert len(lines) == len(ERRATA_REGISTRY) + 1
+    # ClosedFormEntry reads a non-empty note as a registered erratum
+    assert all(rule.note for rule in ERRATA_REGISTRY)
     assert is_registered_erratum(Family.SUNLET, 9)
     assert not is_registered_erratum(Family.SUNLET, 4)
     assert not is_registered_erratum(Family.WHEEL, 6)
@@ -161,12 +164,31 @@ def test_rule_sizes_are_the_searched_minimum_colouring():
 
 def test_entry_consistency_flags_search_disagreement():
     entry = ClosedFormEntry(
-        family=Family.PATH, n=5,
+        family=Family.PATH, n=5, phi=3,
         printed_mean=F(9, 5), printed_variance=F(14, 25),
         corrected_mean=F(9, 5), corrected_variance=F(14, 25),
-        search_phi=3, search_mean=F(2), search_variance=F(14, 25),
+        search_mean=F(2), search_variance=F(14, 25),
         note="")
     assert not entry.consistent
+
+
+def test_entry_consistency_flags_registry_disagreement():
+    # the search confirms the corrected table, so the row is consistent
+    # exactly when it has errata where a rule's note registers one
+    entry = ClosedFormEntry(
+        family=Family.PATH, n=5, phi=3,
+        printed_mean=F(9, 5), printed_variance=F(14, 25),
+        corrected_mean=F(9, 5), corrected_variance=F(14, 25),
+        search_mean=F(9, 5), search_variance=F(14, 25),
+        note="")
+    assert entry.consistent
+    assert replace(entry, printed_mean=F(2), note="a rule").consistent
+    # an erratum without a registered rule
+    unregistered = replace(entry, printed_mean=F(2))
+    assert unregistered.errata and not unregistered.consistent
+    # a registered rule that corrects nothing
+    idle = replace(entry, note="a rule")
+    assert not idle.errata and not idle.consistent
 
 
 def test_generate_dispatch():

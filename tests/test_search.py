@@ -98,8 +98,10 @@ def test_enumerate_validates_at_the_call():
     # the cap and k are checked before the first colouring is asked for
     with pytest.raises(SearchCapError):
         b.enumerate_b_colourings(b.path(13), 3)
-    with pytest.raises(ValueError, match="colour count"):
-        b.enumerate_b_colourings(b.path(3), 0)
+    # a k that is not an int >= 1 raises here, not on the first next()
+    for k in (0, 2.0, 2.5, True):
+        with pytest.raises(ValueError, match="colour count"):
+            b.enumerate_b_colourings(b.path(3), k)
 
 
 def _referenced_names(code: types.CodeType) -> set[str]:
@@ -193,6 +195,10 @@ def test_no_b_colouring_raises():
         b.max_mean_b_colouring(b.path(3), 5)
     with pytest.raises(ValueError):
         b.min_mean_b_colouring(b.path(3), 0)
+    # a k that is not an int is refused by name, before any search
+    for k in (2.5, True):
+        with pytest.raises(ValueError, match=f"colour count must be an int >= 1, got {k}"):
+            b.min_mean_b_colouring(b.path(3), k)
     # the naive oracle refuses the same pairs
     for g, k in [(b.cycle(4), 3), (b.path(4), 3), (b.path(5), 4), (b.path(3), 5)]:
         with pytest.raises(NoBColouringError):
