@@ -19,19 +19,28 @@ Two independent routes are provided:
   `kernel._b_search`.  Every phase runs the kernel in degree order alone;
 
 * the naive oracle (`enumerate_b_colourings`, `naive_b_chromatic_number`,
-  `naive_extremal`), which walks the proper labelled colourings in
-  lexicographic order and is used by the test suite to certify the pruned
-  route.  It tests each vertex that can be a b-vertex once, at the depth
-  where its closed neighbourhood is coloured, so its verdict is final
-  there.  Its one cut: once every such vertex is coloured, a colour that
-  is neither settled by a passed test nor held by a vertex still to be
-  tested can get no b-vertex below, so the walk backs up.  That drops
-  only subtrees without a b-colouring, and the stream is that of the
-  unpruned walk.  Its enumerator shares no code with the pruned search
-  beyond `Graph`, `Colouring` and the cap check, so that the two stay
-  independent (a test checks that it names nothing of the kernel's or
-  the pruned route's); its phi starts at the m_degree bound, which is
-  checked against the unfiltered enumeration.
+  `naive_extremal`), which walks the proper colourings in lexicographic
+  order and is used by the test suite to certify the pruned route.  It
+  tests each vertex that can be a b-vertex once, at the depth where its
+  closed neighbourhood is coloured, so its verdict is final there.  Its
+  one cut: once every such vertex is coloured, a colour that is neither
+  settled by a passed test nor held by a vertex still to be tested can
+  get no b-vertex below, so the walk backs up.  That drops only subtrees
+  without a b-colouring, and the stream is that of the unpruned walk.
+  One walk serves two streams, which differ only in the colours vertex 1
+  may take.  From every colour, each vertex may take every colour: the
+  public labelled stream of `enumerate_b_colourings`.  From colour 1
+  alone, each vertex may take at most one colour above those used so
+  far, so colours first appear in the order 1..k: the canonical stream,
+  one labelling per partition, k! times shorter.  Relabelling keeps a
+  colouring proper and keeps its b-vertices, so the aggregates read the
+  canonical stream: phi is its first non-empty k, and `naive_extremal`
+  gets the smallest assignment of each strength vector by a greedy
+  relabelling of each canonical colouring.  The oracle shares no code
+  with the pruned search beyond `Graph`, `Colouring` and the cap check,
+  so that the two stay independent (a test checks that it names nothing
+  of the kernel's or the pruned route's); its phi starts at the m_degree
+  bound, which is checked against the unfiltered enumeration.
 
 All statistics are exact rationals.
 """
@@ -41,7 +50,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import itemgetter
 from typing import Iterator
 
@@ -296,20 +305,31 @@ def enumerate_b_colourings(g: Graph, k: int, max_n: int | None = None) -> Iterat
     b-vertex is tested once, as soon as its closed neighbourhood is
     coloured, and the walk backs up as soon as some colour can no longer
     get a b-vertex; that drops only subtrees without a b-colouring
-    (`_proper_colourings_walk` gives the argument).  It shares no code
-    with the pruned search, so it serves as the independent oracle that
-    certifies it.
+    (`_proper_colourings_walk` gives the argument).  This is the walk from
+    the full root mask, so every vertex may take every colour; the naive
+    aggregates walk from colour 1 alone.  It shares no code with the
+    pruned search, so it serves as the independent oracle that certifies
+    it.
     """
     _check_caps(g.n, max_n, DEFAULT_ORACLE_CAP)
     _check_k(k)
-    return _proper_colourings_walk(g, k)
+    return map(Colouring, repeat(k), _proper_colourings_walk(g, k, (1 << k) - 1))
 
 
-def _proper_colourings_walk(g: Graph, k: int) -> Iterator[Colouring]:
-    """enumerate_b_colourings' loop over an explicit stack.  Colours are
-    bits (colour c is 1 << (c - 1)); depth v colours vertex v, and depth 0
-    is a root with one branch.
+def _proper_colourings_walk(g: Graph, k: int, root: int) -> Iterator[tuple[int, ...]]:
+    """The b-colourings of g with exactly k colours whose vertex 1 takes a
+    colour of root, as assignment tuples in lexicographic order, over an
+    explicit stack.  Colours are bits (colour c is 1 << (c - 1)); depth v
+    colours vertex v, and depth 0 is a root with one branch.
 
+    * Labels: may[v] holds the colours vertex v may take before propriety.
+      Vertex v + 1 may take those and the one above v's colour, capped at
+      k.  may[0] is root, and the root's one branch is a colour above k,
+      which adds none, so vertex 1 may take root.  From the full root mask
+      that is every colour at every depth: the labelled stream.  From
+      colour 1 alone it is the colours up to one above the largest used so
+      far, so colours first appear in the order 1, 2, ..., k: the
+      canonical stream, one labelling per partition.
     * Propriety: depth v tries only the colours that no earlier neighbour
       of v holds.
     * The b-test, once per candidate: only a vertex u of degree >= k - 1
@@ -327,10 +347,11 @@ def _proper_colourings_walk(g: Graph, k: int) -> Iterator[Colouring]:
       drops only subtrees without a b-colouring, so the stream and its
       order are those of the walk without it.
 
-    A node whose next vertex has no colour left is dropped before it
-    tests anything.  Depths above first, the first that tests or may back
-    up, check propriety alone, and the last vertex's colours are tried in
-    place, as a leaf has nothing to push."""
+    Neither the b-test nor the back-up rule reads a label, so both streams
+    run them alike.  A node whose next vertex has no colour left is dropped
+    before it tests anything.  Depths above first, the first that tests or
+    may back up, check propriety alone, and the last vertex's colours are
+    tried in place, as a leaf has nothing to push."""
     n = g.n
     full = (1 << k) - 1
     adjacency = g.adjacency
@@ -352,10 +373,12 @@ def _proper_colourings_walk(g: Graph, k: int) -> Iterator[Colouring]:
     first = min(first, top)
     leaf = tests[n]
     bits = [0] * (n + 1)     # bits[v]: the colour vertex v holds
+    may = [0] * (n + 1)      # may[v]: the colours vertex v may take, before propriety
+    may[0] = root
     settled = [0] * (n + 1)
     later = [0] * (n + 1)
     to_try = [0] * (n + 1)   # to_try[v]: the colours vertex v has yet to try
-    to_try[0] = 1
+    to_try[0] = 1 << k
     v = 0
     while True:
         left = to_try[v]
@@ -367,10 +390,11 @@ def _proper_colourings_walk(g: Graph, k: int) -> Iterator[Colouring]:
         bit = left & -left
         to_try[v] = left ^ bit
         bits[v] = bit
+        labels = may[v] | bit << 1 & full  # the colours vertex v + 1 may take
         taken = 0
         for u in earlier[v + 1]:
             taken |= bits[u]
-        following = full & ~taken  # the colours vertex v + 1 may take
+        following = labels & ~taken  # those that no earlier neighbour holds
         if not following:
             continue
         if v >= first:
@@ -396,6 +420,7 @@ def _proper_colourings_walk(g: Graph, k: int) -> Iterator[Colouring]:
             settled[v + 1] = s
         v += 1
         if v < n:
+            may[v] = labels
             to_try[v] = following
             continue
         left = following
@@ -416,19 +441,53 @@ def _proper_colourings_walk(g: Graph, k: int) -> Iterator[Colouring]:
                 # built from a list of known length: a tuple built straight from
                 # an iterator is sized by reallocation, and the freed ones pile
                 # up on CPython's tuple free list, up to 2,000 of each length
-                yield Colouring(k, tuple([*map(int.bit_length, bits[1:])]))
+                yield tuple([*map(int.bit_length, bits[1:])])
         v -= 1
 
 
-def naive_b_chromatic_number(g: Graph, max_n: int | None = None) -> int:
-    """phi by brute force: largest k whose enumeration stream is non-empty.
+def _least_relabellings(sizes: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(theta, perm) for each distinct arrangement theta of the class sizes
+    of a canonical colouring: relabelling its class i as perm[i] (perm[0]
+    is unused) gives the smallest assignment whose strength vector is
+    theta.
 
-    k above m_degree(g) is skipped: a b-colouring with k colours needs k
-    b-vertices of degree >= k-1.
+    A relabelling gives class i a colour c with theta_c = sizes[i - 1].
+    Class i first appears after classes 1..i-1 do, so two relabellings'
+    assignments first differ at the first vertex of the first class they
+    label differently, and the smallest is greedy: in class order, each
+    class takes the least colour of its size that no earlier class took.
+    The arrangements are built one position at a time from the distinct
+    sizes left, so a position never tries the same size twice and no
+    k! orderings are walked."""
+    out = []
+
+    def arrange(left: tuple[int, ...], theta: tuple[int, ...]) -> None:
+        if not left:
+            pools: dict[int, list[int]] = {}
+            for c, t in enumerate(theta, start=1):
+                pools.setdefault(t, []).append(c)
+            out.append((theta, (0, *[pools[t].pop(0) for t in sizes])))
+            return
+        for t in sorted(set(left)):
+            i = left.index(t)
+            arrange(left[:i] + left[i + 1:], theta + (t,))
+
+    arrange(sizes, ())
+    return out
+
+
+def naive_b_chromatic_number(g: Graph, max_n: int | None = None) -> int:
+    """phi by brute force: the largest k with a canonical b-colouring.
+
+    Relabelling keeps a colouring proper and keeps its b-vertices, so k
+    has a b-colouring exactly when it has one whose colours first appear
+    in the order 1..k, and each refuted k walks up to k! fewer nodes than
+    the labelled stream.  k above m_degree(g) is skipped: a b-colouring
+    with k colours needs k b-vertices of degree >= k-1.
     """
     _check_caps(g.n, max_n, DEFAULT_ORACLE_CAP)
     for k in range(m_degree(g), 0, -1):
-        if next(iter(enumerate_b_colourings(g, k, max_n=max_n)), None) is not None:
+        if next(_proper_colourings_walk(g, k, 1), None) is not None:
             return k
     raise AssertionError("unreachable: k = 1 succeeds on edgeless graphs only, "
                          "and chi-colour b-colourings always exist")
@@ -436,21 +495,34 @@ def naive_b_chromatic_number(g: Graph, max_n: int | None = None) -> int:
 
 def naive_extremal(g: Graph, k: int, max_n: int | None = None,
                    ) -> tuple[Colouring, ChromaStats, Colouring, ChromaStats]:
-    """Extremal labelled b-colourings at fixed k straight off the stream.
+    """Extremal labelled b-colourings at fixed k, from the canonical stream.
 
     Implements the tie-break order (mean, variance, strength vector,
     assignment) literally: the smallest assignment of each strength
-    vector, then the best vector, whose stats are computed once each.
+    vector, then the best vector, whose stats are computed once each.  The
+    labelled b-colourings are the relabellings of the canonical ones, and
+    for each canonical colouring and strength vector `_least_relabellings`
+    gives the smallest, so the smallest of those over the canonical stream
+    is the vector's smallest labelled b-colouring.  Only the two winners
+    are built as `Colouring`s.
     """
-    first: dict[tuple[int, ...], Colouring] = {}  # strength vector -> its smallest colouring
-    for c in enumerate_b_colourings(g, k, max_n=max_n):
-        theta = c.strengths()
-        seen = first.get(theta)
-        if seen is None or c.colours < seen.colours:
-            first[theta] = c
+    _check_caps(g.n, max_n, DEFAULT_ORACLE_CAP)
+    _check_k(k)
+    first: dict[tuple[int, ...], tuple[int, ...]] = {}  # strength vector -> its smallest assignment
+    relabellings = {}  # canonical class sizes -> _least_relabellings of them
+    for colours in _proper_colourings_walk(g, k, 1):
+        sizes = tuple(map(colours.count, range(1, k + 1)))
+        pairs = relabellings.get(sizes)
+        if pairs is None:
+            pairs = relabellings[sizes] = _least_relabellings(sizes)
+        for theta, perm in pairs:
+            relabelled = tuple([perm[c] for c in colours])
+            seen = first.get(theta)
+            if seen is None or relabelled < seen:
+                first[theta] = relabelled
     if not first:
         raise NoBColouringError(f"no b-colouring with exactly {k} colours")
     ranked = {theta: stats_from_strengths(theta) for theta in first}
     low = min(first, key=lambda t: (ranked[t], t))
     high = min(first, key=lambda t: (-ranked[t].mean, ranked[t].variance, t))
-    return first[low], ranked[low], first[high], ranked[high]
+    return Colouring(k, first[low]), ranked[low], Colouring(k, first[high]), ranked[high]

@@ -22,18 +22,20 @@ class Colouring:
 
     colours[i] is the colour of vertex i+1.  Declared colour count k may
     exceed the number of colours actually used; surjectivity is checked by
-    validators, not by the type.
+    validators, not by the type.  k and every colour must be exactly int
+    (not a float or a bool), or ValueError is raised here rather than in a
+    later statistic.
     """
 
     k: int
     colours: tuple[int, ...]
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"colour count must be >= 1, got {self.k}")
+        if type(self.k) is not int or self.k < 1:
+            raise ValueError(f"colour count must be an int >= 1, got {self.k!r}")
         for i, c in enumerate(self.colours):
-            if not (1 <= c <= self.k):
-                raise ValueError(f"vertex {i + 1} has colour {c} outside 1..{self.k}")
+            if type(c) is not int or not 1 <= c <= self.k:
+                raise ValueError(f"vertex {i + 1} has colour {c!r}, not an int in 1..{self.k}")
 
     @property
     def n(self) -> int:

@@ -2,7 +2,8 @@ import random
 import types
 from dataclasses import replace
 from fractions import Fraction as F
-from itertools import product
+from functools import cache
+from itertools import permutations, product
 
 import pytest
 
@@ -65,33 +66,81 @@ def test_enumerate_is_lexicographic_and_valid():
     assert all(b.is_b_colouring(g, c) for c in seen)
 
 
+_FILTERED_SIX = {"wheel(5)", "sunlet(3)", "closed-ladder(3)", "random#9"}
+
+
+@cache
+def _b_colourings_by_filter(g, k):
+    """Every assignment of colours 1..k in lexicographic order, kept when
+    it is a b-colouring of g."""
+    return [a for a in product(range(1, k + 1), repeat=g.n)
+            if b.is_b_colouring(g, b.Colouring(k, a))]
+
+
 def test_enumerate_matches_filtering_every_assignment():
     # a third reference that shares no code with the enumerator: every
     # assignment in lexicographic order, kept when it is a b-colouring.
-    # Six-vertex graphs cost about 0.3 s each, so four of them are kept.
-    # sunlet(4) colours its cycle, the only candidates at k = 3 and 4, by
-    # depth 4, so the walk backs up at depths 4 to 7 when a colour can no
-    # longer get a b-vertex
-    six = {"wheel(5)", "sunlet(3)", "closed-ladder(3)", "random#9"}
-    cases = [(label, g, k) for label, g in _small_graphs() if g.n <= 5 or label in six
+    # Six-vertex graphs cost about 0.3 s each, so four of them are kept
+    # (_FILTERED_SIX).  sunlet(4) colours its cycle, the only candidates at
+    # k = 3 and 4, by depth 4, so the walk backs up at depths 4 to 7 when a
+    # colour can no longer get a b-vertex
+    cases = [(label, g, k) for label, g in _small_graphs()
+             if g.n <= 5 or label in _FILTERED_SIX
              for k in range(1, g.n + 1)]
     cases += [("sunlet(4)", b.sunlet(4), 3), ("sunlet(4)", b.sunlet(4), 4)]
     checks = 0
     for label, g, k in cases:
-        expected = [b.Colouring(k, a) for a in product(range(1, k + 1), repeat=g.n)
-                    if b.is_b_colouring(g, b.Colouring(k, a))]
+        expected = [b.Colouring(k, a) for a in _b_colourings_by_filter(g, k)]
         assert list(b.enumerate_b_colourings(g, k)) == expected, (label, k)
         checks += bool(expected)
     assert checks >= 42
 
 
+def test_naive_aggregates_match_filtering_every_assignment():
+    # the aggregates read the canonical stream and relabel it; their third
+    # reference is the tie-break applied by hand to every assignment that
+    # is a b-colouring, on the graphs of the filter test above, for every k
+    cases = [(label, g) for label, g in _small_graphs() if g.n <= 5 or label in _FILTERED_SIX]
+    checks = 0
+    for label, g in cases:
+        found = {k: _b_colourings_by_filter(g, k) for k in range(1, g.n + 1)}
+        assert b.naive_b_chromatic_number(g) == max(k for k in found if found[k]), label
+        for k, assignments in found.items():
+            if not assignments:
+                with pytest.raises(NoBColouringError):
+                    b.naive_extremal(g, k)
+                continue
+
+            def sizes(a):
+                return b.Colouring(k, a).strengths()
+
+            def stats(a):
+                return b.stats_from_strengths(sizes(a))
+
+            low = min(assignments, key=lambda a: (stats(a), sizes(a), a))
+            high = min(assignments, key=lambda a: (-stats(a).mean, stats(a).variance,
+                                                   sizes(a), a))
+            assert b.naive_extremal(g, k) == (b.Colouring(k, low), stats(low),
+                                              b.Colouring(k, high), stats(high)), (label, k)
+            checks += 1
+    assert checks >= 40
+
+
 def test_enumerate_stream_sizes_on_twelve_vertices():
     # past the filter's reach: the streams at phi = 4 of two 12-vertex
-    # graphs, in strictly increasing order
-    for g, size in ((b.sunlet(6), 5256), (b.closed_ladder(6), 8136)):
+    # graphs, in strictly increasing order.  The canonical stream, which
+    # the aggregates read, has its colours first appear in the order 1..4,
+    # and relabelling it every way gives the labelled stream, 4! times its
+    # size (219 * 24 = 5,256 and 339 * 24 = 8,136)
+    for g, size, canonical_size in ((b.sunlet(6), 5256, 219), (b.closed_ladder(6), 8136, 339)):
         stream = [c.colours for c in b.enumerate_b_colourings(g, 4)]
         assert len(stream) == size
         assert all(a < c for a, c in zip(stream, stream[1:]))
+        canonical = list(search._proper_colourings_walk(g, 4, 1))
+        assert len(canonical) == canonical_size
+        assert all([*dict.fromkeys(a)] == [1, 2, 3, 4] for a in canonical)
+        assert sorted(tuple(perm[c - 1] for c in a) for a in canonical
+                      for perm in permutations((1, 2, 3, 4))) == stream
 
 
 def test_enumerate_validates_at_the_call():
@@ -124,7 +173,8 @@ def test_oracle_shares_no_code_with_the_pruned_search():
     assert all(callable(getattr(search, name)) for name in pruned)
     forbidden = {"kernel"} | kernel_private | pruned
     for fn in (search.enumerate_b_colourings, search._proper_colourings_walk,
-               search.naive_b_chromatic_number, search.naive_extremal):
+               search._least_relabellings, search.naive_b_chromatic_number,
+               search.naive_extremal):
         assert not _referenced_names(fn.__code__) & forbidden, fn.__name__
 
 
@@ -331,16 +381,28 @@ def test_naive_extremal_tie_break_order():
 def test_naive_extremal_tie_break_on_strength_vector(monkeypatch):
     # the sizes of test_extremal_tie_break_on_strength_vector: (9,5,5,1)
     # ties (8,8,2,2) at the min end and (2,2,8,8) ties (1,5,5,9) at the
-    # max end, and each end meets the vector that must lose first
-    def fake_stream(g, k, max_n=None):
+    # max end; relabelling reaches every arrangement of both, and each end
+    # meets the vector that must lose first
+    def fake_stream(g, k, root):
+        # canonical colourings, as the aggregates read them
         for sizes in [(9, 5, 5, 1), (2, 2, 8, 8), (8, 8, 2, 2), (1, 5, 5, 9)]:
-            yield b.Colouring(k, tuple(c for c, size in enumerate(sizes, start=1)
-                                       for _ in range(size)))
+            yield tuple(c for c, size in enumerate(sizes, start=1) for _ in range(size))
 
-    monkeypatch.setattr(search, "enumerate_b_colourings", fake_stream)
-    min_c, _, max_c, _ = b.naive_extremal(b.path(20), 4)
+    monkeypatch.setattr(search, "_proper_colourings_walk", fake_stream)
+    min_c, _, max_c, _ = b.naive_extremal(b.path(20), 4, max_n=20)
     assert min_c.strengths() == (8, 8, 2, 2)
     assert max_c.strengths() == (1, 5, 5, 9)
+
+
+def test_oracle_certifies_past_twelve_vertices():
+    # the canonical stream takes each of these 14-vertex graphs in well
+    # under a second, past the default cap of 12 (raised here with max_n)
+    for g in (b.sunlet(7), b.closed_ladder(7), b.wheel(13), b.path(14), b.cycle(14)):
+        assert g.n > b.DEFAULT_ORACLE_CAP
+        r = b.full_report(g)
+        phi = b.naive_b_chromatic_number(g, max_n=g.n)
+        assert (r.phi, r.min_colouring, r.min_stats, r.max_colouring, r.max_stats) == \
+               (phi, *b.naive_extremal(g, phi, max_n=g.n)), g
 
 
 def _small_graphs(max_vertices=7, draws=30):

@@ -11,6 +11,14 @@ def test_colouring_validation():
         b.Colouring(2, (1, 3))
     with pytest.raises(ValueError):
         b.Colouring(0, ())
+    # k and every colour are exactly int, so a float or a bool fails here,
+    # not later in strengths()
+    for k in (1.5, 2.0, True):
+        with pytest.raises(ValueError, match="colour count must be an int"):
+            b.Colouring(k, (1, 1))
+    for c in (1.5, 2.0, True):
+        with pytest.raises(ValueError, match="not an int in 1..2"):
+            b.Colouring(2, (c, 2))
     c = b.Colouring(3, (1, 2, 3, 1))
     assert c.n == 4 and c.colour_of(4) == 1
     assert c.strengths() == (2, 1, 1)
