@@ -10,6 +10,7 @@ checks published closed forms for six graph families against brute force.
 from .graphs import (
     Graph,
     GraphError,
+    SearchCapError,
     build_graph,
     cartesian_product,
     closed_ladder,
@@ -18,6 +19,7 @@ from .graphs import (
     corona,
     corona_with_k1,
     cycle,
+    m_degree,
     max_degree,
     path,
     random_connected_graph,
@@ -33,28 +35,28 @@ from .io import (
     read_graph,
     write_graph,
 )
-from .search import (
+from .oracle import (
     DEFAULT_ORACLE_CAP,
+    enumerate_b_colourings,
+    naive_b_chromatic_number,
+    naive_extremal,
+)
+from .search import (
     DEFAULT_SEARCH_CAP,
     DisconnectedGraphError,
-    NoBColouringError,
-    SearchCapError,
     SearchReport,
     b_chromatic_number,
     chromatic_number,
-    enumerate_b_colourings,
     full_report,
-    m_degree,
     max_mean_b_colouring,
     min_mean_b_colouring,
-    naive_b_chromatic_number,
-    naive_extremal,
 )
 from .stats import (
     ChromaStats,
     ColourDistribution,
     Colouring,
     ColouringMismatchError,
+    NoBColouringError,
     b_vertices,
     colouring_stats,
     distribution,

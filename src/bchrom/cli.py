@@ -32,7 +32,7 @@ GEN_CHOICES = FAMILY_CHOICES + ["complete-bipartite", "random"]
 
 
 # first match wins; every malformed-input error is a ValueError
-_EXIT_CODES = {search.SearchCapError: EXIT_CAP, OSError: EXIT_IO, ValueError: EXIT_USAGE}
+_EXIT_CODES = {graphs.SearchCapError: EXIT_CAP, OSError: EXIT_IO, ValueError: EXIT_USAGE}
 _VERIFY_EXIT_CODES = {"ok": EXIT_OK, "cap-exceeded": EXIT_CAP, "regression": EXIT_REGRESSION}
 
 

@@ -34,9 +34,9 @@ from io import StringIO
 from typing import NamedTuple
 
 from . import graphs
-from .graphs import Graph
+from .graphs import Graph, SearchCapError, _check_caps
 from .io import write_csv
-from .search import DEFAULT_SEARCH_CAP, SearchCapError, _check_caps, full_report
+from .search import DEFAULT_SEARCH_CAP, full_report
 from .stats import Colouring, _check_cover, stats_from_strengths
 
 

@@ -21,6 +21,10 @@ class GraphError(ValueError):
     """
 
 
+class SearchCapError(RuntimeError):
+    """Instance exceeds the configured vertex cap."""
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 1..n.
@@ -98,6 +102,28 @@ def build_graph(n: int, edges) -> Graph:
 
 def max_degree(g: Graph) -> int:
     return max(g.degree(v) for v in g.vertices())
+
+
+def m_degree(g: Graph) -> int:
+    """Largest m such that at least m vertices have degree >= m - 1.
+
+    Upper bound on the b-chromatic number: a b-colouring with k colours
+    needs k distinct b-vertices, each of degree at least k - 1.
+    """
+    degrees = sorted((g.degree(v) for v in g.vertices()), reverse=True)
+    m = 0
+    for i, d in enumerate(degrees, start=1):
+        if d >= i - 1:
+            m = i
+    return m
+
+
+def _check_caps(n: int, max_n: int | None, default: int) -> None:
+    cap = default if max_n is None else max_n
+    if cap < 1:
+        raise ValueError(f"vertex cap must be >= 1, got {cap}")
+    if n > cap:
+        raise SearchCapError(f"graph has {n} vertices, cap is {cap}")
 
 
 # ---------------------------------------------------------------------------

@@ -16,23 +16,32 @@ class ColouringMismatchError(ValueError):
     """Colouring does not cover exactly the vertex set of the graph."""
 
 
+class NoBColouringError(ValueError):
+    """The graph admits no b-colouring with the requested colour count."""
+
+
+def _check_k(k) -> None:
+    if type(k) is not int or k < 1:
+        raise ValueError(f"colour count must be an int >= 1, got {k!r}")
+
+
 @dataclass(frozen=True)
 class Colouring:
     """Total assignment of colours 1..k to vertices 1..n.
 
     colours[i] is the colour of vertex i+1.  Declared colour count k may
     exceed the number of colours actually used; surjectivity is checked by
-    validators, not by the type.  k and every colour must be exactly int
-    (not a float or a bool), or ValueError is raised here rather than in a
-    later statistic.
+    validators, not by the type.  The colours are stored as a tuple, and k
+    and every colour must be exactly int (not a float or a bool), or
+    ValueError is raised here rather than in a later statistic.
     """
 
     k: int
     colours: tuple[int, ...]
 
     def __post_init__(self):
-        if type(self.k) is not int or self.k < 1:
-            raise ValueError(f"colour count must be an int >= 1, got {self.k!r}")
+        object.__setattr__(self, "colours", tuple(self.colours))
+        _check_k(self.k)
         for i, c in enumerate(self.colours):
             if type(c) is not int or not 1 <= c <= self.k:
                 raise ValueError(f"vertex {i + 1} has colour {c!r}, not an int in 1..{self.k}")

@@ -94,6 +94,25 @@ def test_sweep_complete_no_errata():
         assert e.search_variance == F(e.n * e.n - 1, 12)
 
 
+def test_sweep_every_family_up_to_the_default_cap():
+    # from past the acceptance ranges to the 32-vertex default cap: every
+    # row agrees with the search, and has errata exactly where registered
+    ranges = {
+        Family.PATH: range(13, 33),
+        Family.CYCLE: range(12, 33),
+        Family.COMPLETE: range(9, 33),
+        Family.WHEEL: range(11, 32),
+        Family.SUNLET: range(9, 17),
+        Family.CLOSED_LADDER: range(9, 17),
+    }
+    for family, ns in ranges.items():
+        entries = sweep(family, ns)
+        assert [e.n for e in entries] == list(ns)
+        assert all(e.consistent for e in entries), family
+        assert [e.n for e in entries if e.errata] == [
+            n for n in ns if is_registered_erratum(family, n)], family
+
+
 def test_sweep_records_cap_errors_per_row():
     entries = sweep(Family.PATH, [5, 6], max_n=5)
     assert entries[0].error == "" and entries[0].consistent

@@ -1,21 +1,26 @@
+import ast
 import random
+import sys
 import types
 from dataclasses import replace
 from fractions import Fraction as F
 from functools import cache
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
 import bchrom as b
-from bchrom import kernel, search
-from bchrom.closed_forms import Family, generate, sweep
-from bchrom.search import (
+from bchrom import (
     DisconnectedGraphError,
     NoBColouringError,
     SearchCapError,
+    kernel,
     m_degree,
+    oracle,
+    search,
 )
+from bchrom.closed_forms import Family, generate, sweep
 
 
 def test_chromatic_number_examples():
@@ -136,7 +141,7 @@ def test_enumerate_stream_sizes_on_twelve_vertices():
         stream = [c.colours for c in b.enumerate_b_colourings(g, 4)]
         assert len(stream) == size
         assert all(a < c for a, c in zip(stream, stream[1:]))
-        canonical = list(search._proper_colourings_walk(g, 4, 1))
+        canonical = list(oracle._proper_colourings_walk(g, 4, 1))
         assert len(canonical) == canonical_size
         assert all([*dict.fromkeys(a)] == [1, 2, 3, 4] for a in canonical)
         assert sorted(tuple(perm[c - 1] for c in a) for a in canonical
@@ -162,20 +167,31 @@ def _referenced_names(code: types.CodeType) -> set[str]:
 
 
 def test_oracle_shares_no_code_with_the_pruned_search():
-    # the oracle certifies the pruned search, so it must not run any of it
-    kernel_private = {name for name in vars(kernel)
-                      if name.startswith("_") and not name.startswith("__")}
-    assert {"_Prepared", "_b_search", "_build", "_tail"} <= kernel_private
-    pruned = {"_prepare", "_first_k", "_chi", "_phi", "_independence_number",
-              "_partitions_desc", "_extremal_witnesses", "_realize", "chromatic_number",
-              "b_chromatic_number", "min_mean_b_colouring", "max_mean_b_colouring",
-              "full_report"}
-    assert all(callable(getattr(search, name)) for name in pruned)
-    forbidden = {"kernel"} | kernel_private | pruned
-    for fn in (search.enumerate_b_colourings, search._proper_colourings_walk,
-               search._least_relabellings, search.naive_b_chromatic_number,
-               search.naive_extremal):
-        assert not _referenced_names(fn.__code__) & forbidden, fn.__name__
+    # the oracle certifies the pruned search, so it must not run any of it.
+    # oracle.py imports only the standard library, graphs and stats ...
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert node.level == 1 and node.module in {"graphs", "stats"}, node.module
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [
+                alias.name for alias in node.names]
+            assert all(name.split(".")[0] in sys.stdlib_module_names for name in names), names
+    # ... search holds none of the oracle's names but the one it imports ...
+    functions = {name: fn for name, fn in vars(oracle).items()
+                 if isinstance(fn, types.FunctionType) and fn.__module__ == oracle.__name__}
+    assert set(functions) == {"enumerate_b_colourings", "_proper_colourings_walk",
+                              "_least_relabellings", "naive_b_chromatic_number",
+                              "naive_extremal"}
+    own = set(functions) | {"DEFAULT_ORACLE_CAP"}
+    assert {name for name, value in vars(search).items() if name in own
+            or getattr(value, "__module__", None) == oracle.__name__} == {"enumerate_b_colourings"}
+    assert search.enumerate_b_colourings is oracle.enumerate_b_colourings
+    # ... and the oracle's functions name nothing that search or kernel binds
+    # unless the oracle binds it too
+    forbidden = ({"search", "kernel"} | set(vars(search)) | set(vars(kernel))) - set(vars(oracle))
+    assert {"_b_search", "_build", "_Prepared", "_realize", "full_report"} <= forbidden
+    for name, fn in functions.items():
+        assert not _referenced_names(fn.__code__) & forbidden, name
 
 
 def test_min_mean_examples():
@@ -388,7 +404,7 @@ def test_naive_extremal_tie_break_on_strength_vector(monkeypatch):
         for sizes in [(9, 5, 5, 1), (2, 2, 8, 8), (8, 8, 2, 2), (1, 5, 5, 9)]:
             yield tuple(c for c, size in enumerate(sizes, start=1) for _ in range(size))
 
-    monkeypatch.setattr(search, "_proper_colourings_walk", fake_stream)
+    monkeypatch.setattr(oracle, "_proper_colourings_walk", fake_stream)
     min_c, _, max_c, _ = b.naive_extremal(b.path(20), 4, max_n=20)
     assert min_c.strengths() == (8, 8, 2, 2)
     assert max_c.strengths() == (1, 5, 5, 9)

@@ -25,6 +25,17 @@ def test_colouring_validation():
     assert c.colour_class(1) == {1, 4}
 
 
+def test_colouring_stores_its_colours_as_a_tuple():
+    # colours given as a list or a generator are stored as a tuple, so the
+    # forms are equal, hash, and a generator is not used up by the check
+    listed = b.Colouring(2, [1, 2])
+    assert type(listed.colours) is tuple
+    assert listed == b.Colouring(2, (1, 2))
+    assert hash(listed) == hash(b.Colouring(2, (1, 2)))
+    generated = b.Colouring(2, (c for c in (1, 2)))
+    assert generated.n == 2 and generated == listed
+
+
 def test_is_proper_examples():
     assert b.is_proper(b.cycle(4), b.Colouring(2, (1, 2, 1, 2)))
     assert not b.is_proper(b.path(2), b.Colouring(1, (1, 1)))
