@@ -143,7 +143,7 @@ def parse_colouring(text: str) -> Colouring:
         missing = sorted(set(range(1, n + 1)) - set(seen))
         raise FormatError(f"vertices must be exactly 1..{n}; missing {missing}")
     try:
-        return Colouring(k, tuple(seen[v] for v in range(1, n + 1)))
+        return Colouring(k, (seen[v] for v in range(1, n + 1)))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 

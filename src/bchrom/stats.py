@@ -67,11 +67,11 @@ class Colouring:
 
     def reversed_labels(self) -> "Colouring":
         """Replace each colour i by k+1-i (mirror of the labelling)."""
-        return Colouring(self.k, tuple(self.k + 1 - c for c in self.colours))
+        return Colouring(self.k, (self.k + 1 - c for c in self.colours))
 
     def relabelled(self, perm: dict[int, int]) -> "Colouring":
         """Apply a colour permutation {old: new}."""
-        return Colouring(self.k, tuple(perm[c] for c in self.colours))
+        return Colouring(self.k, (perm[c] for c in self.colours))
 
 
 @dataclass(frozen=True)
