@@ -40,7 +40,8 @@ class Colouring:
     colours: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "colours", tuple(self.colours))
+        if type(self.colours) is not tuple:  # the oracle builds one per colouring
+            object.__setattr__(self, "colours", tuple(self.colours))
         _check_k(self.k)
         for i, c in enumerate(self.colours):
             if type(c) is not int or not 1 <= c <= self.k:
