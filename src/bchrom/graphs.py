@@ -29,17 +29,20 @@ class SearchCapError(RuntimeError):
 class Graph:
     """Simple undirected graph on vertices 1..n.
 
-    Edges are stored as a frozenset of (u, v) pairs with u < v; no
-    self-loops or parallel edges can be represented.  Construction checks
-    this invariant, n >= 1 and each edge a pair 1 <= u < v <= n, all of
-    them exactly int (not a float, a bool or a NumPy integer), so every
-    `Graph` holds it; use `build_graph` for unordered or repeated pairs.
+    Edges are stored as a frozenset of (u, v) pairs with u < v, built from
+    any iterable of such pairs, so a pair given twice is one edge and no
+    self-loop can be represented.  Construction checks this invariant,
+    n >= 1 and each edge a pair 1 <= u < v <= n, all of them exactly int
+    (not a float, a bool or a NumPy integer), so every `Graph` holds it;
+    use `build_graph` for pairs in either order.
     """
 
     n: int
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
+        if type(self.edges) is not frozenset:  # build_graph passes one
+            object.__setattr__(self, "edges", frozenset(self.edges))
         if type(self.n) is not int or self.n < 1:
             raise GraphError(f"vertex count must be a positive integer, got {self.n!r}")
         for e in self.edges:

@@ -18,24 +18,21 @@ class _Prepared:
 
     adj: list[int]          # adj[v]: neighbour bitmask of v (bit u set when u ~ v, 0-based)
     order: list[int]        # the vertex order the search colours in
-    # N(S) for a vertex mask S, by lookup (see _build): (t0, t1, t2, tail, w,
-    # mask, covered), every table w bits wide: tj[m] = N(m << jw) for S's
-    # chunk j, tail[j][m] = N(m << (3 + j)w) for the vertices from 3w on, and
-    # covered = 2^3w - 1
-    nbhd: tuple
+    nbhd: tuple             # N(S) for a vertex mask S, by lookup (see _build)
     nodes: int = 0          # search nodes explored on this graph so far
-    # k -> [live: the vertices of degree >= k - 1, slack[v] = deg(v) + 1 - k
-    # for each v, ones: the vertices of live with k - 1 neighbours in live,
-    # None until a capped search at k reads it]
+    # k -> [live, slack, ones]: _b_search's starting state at k (see there)
     slack: dict[int, list] = field(default_factory=dict)
 
 
 def _build(g: Graph) -> _Prepared:
     """g's bitmasks and neighbourhood tables, in degree-descending vertex
-    order (ties by index).  Every table has width w = min(11, ceil(n/3)):
-    t0, t1, t2 cover vertices 0..3w-1, every vertex up to n = 33, with
-    three lookups.  Past 3w the tail has one table per w vertices, which
-    only a cap raised past 33 vertices reaches."""
+    order (ties by index).  nbhd = (t0, t1, t2, tail, w, mask, covered)
+    gives N(S), the vertices adjacent to a vertex of the mask S, by lookup.
+    Every table has width w = min(11, ceil(n/3)), and mask = 2^w - 1:
+    tj[m] = N(m << jw) for S's chunk j, so t0, t1, t2 cover vertices
+    0..3w-1 (covered = 2^3w - 1), every vertex up to n = 33, with three
+    lookups.  Past 3w the tail has one table per w vertices, tail[j][m] =
+    N(m << (3 + j)w), which only a cap raised past 33 vertices reaches."""
     adj = [sum(1 << (w - 1) for w in g.adjacency[v]) for v in g.vertices()]
     w = min(11, -(-g.n // 3))
     tables = []

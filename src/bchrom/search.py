@@ -3,19 +3,11 @@ the pruned route (`chromatic_number`, `b_chromatic_number`,
 `min_mean_b_colouring`, `max_mean_b_colouring`, `full_report`), which the
 tests certify against the naive oracle in `oracle.py`.
 
-One pass ranks candidate class-size vectors by (mean, variance) and
-settles each one with a capped backtracking feasibility search; the first
-group with an achievable vector gives the class sizes of both the
-minimum- and the maximum-mean b-colouring, and a witness colouring for
-each.  A realize step then turns each witness into the lexicographically
-smallest assignment with its sizes, fixing one vertex at a time to the
-smallest colour the capped search can still complete, in one search per
-vertex.  chi, phi, the scan and the realize step all run that one
-b-colouring search, the kernel in `kernel.py`: chi is the least k with a
-b-colouring, because a proper colouring with chi colours is always a
-b-colouring (Irving & Manlove 1999).  The kernel's cuts, each a condition
-every completion must meet, are described in `kernel._b_search`.  Every
-phase runs the kernel in degree order alone.
+chi, phi, the candidate scan (`_extremal_witnesses`) and realize
+(`_realize`) all run one b-colouring search, `kernel._b_search`, in degree
+order; its docstring gives the search state, the head a caller may fix and
+the cuts.  chi is the least k with a b-colouring, because a proper
+colouring with chi colours is always a b-colouring (Irving & Manlove 1999).
 
 All statistics are exact rationals.
 """
@@ -163,12 +155,12 @@ def _realize(p: _Prepared, k: int, witness: list[int]) -> tuple[Colouring, Chrom
     """(colouring, stats): the lexicographically smallest b-colouring with
     the class sizes of witness, itself a b-colouring with k colours.
 
-    Prefix fixing: one capped search with head witness[:v + 1] (vertices
-    0..v-1 fixed, v coloured first and only below the witness's colour at
-    v, the rest in p.order) gives v the smallest colour any completion
-    allows, and its completion is the new witness.  If it finds none, v
-    keeps the witness's colour, which the witness itself completes.  A
-    vertex of colour 1 needs no search.
+    Prefix fixing, vertex by vertex: the capped search with head
+    witness[:v + 1] (`_b_search` says what a head fixes) gives v the
+    smallest colour below the witness's that any completion allows, and
+    its completion becomes the witness.  If it finds none, v keeps the
+    witness's colour, which the witness itself completes.  A vertex of
+    colour 1 needs no search.
     """
     caps = Colouring(k, witness).strengths()
     for v in range(len(p.adj)):

@@ -166,6 +166,7 @@ def _total(strengths) -> int:
 
 def stats_from_strengths(strengths) -> ChromaStats:
     """Mean/variance of the colour index when class i has the given size."""
+    strengths = tuple(strengths)
     n = _total(strengths)
     m1 = sum(i * t for i, t in enumerate(strengths, start=1))
     m2 = sum(i * i * t for i, t in enumerate(strengths, start=1))

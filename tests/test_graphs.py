@@ -37,6 +37,25 @@ def test_graph_checks_its_own_invariant(n, edges):
         b.Graph(n, edges)
 
 
+def test_graph_stores_its_edges_as_a_frozenset():
+    # edges given as a list, with a repeated pair, or as an iterator make the
+    # graph that build_graph makes: hashable, equal, and written back as is
+    built = b.build_graph(3, [(1, 2), (2, 3)])
+    for edges in ([(1, 2), (2, 3)], ((1, 2), (1, 2), (2, 3)), iter([(1, 2), (2, 3)])):
+        g = b.Graph(3, edges)
+        assert type(g.edges) is frozenset and g.m == 2
+        assert g == built and hash(g) == hash(built)
+        text = b.format_graph(g, "edgelist")
+        assert text == b.format_graph(built, "edgelist")
+        assert b.parse_graph(text, "edgelist") == g
+    # a frozenset is kept as it is
+    edges = frozenset({(1, 2)})
+    assert b.Graph(2, edges).edges is edges
+    # every edge of an iterator is checked
+    with pytest.raises(GraphError):
+        b.Graph(3, iter([(1, 2), (3, 1)]))
+
+
 def test_edge_endpoints_must_be_ints():
     # an endpoint that only compares like an int is not enough: the search
     # indexes lists with it and calls int methods on it

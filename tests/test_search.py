@@ -318,11 +318,12 @@ def test_full_report_node_counts_are_pinned():
     # exact counts, so that a change to the search that moves them shows;
     # without the pooled count of the classes waiting for an uncoloured
     # b-vertex, draws[0] takes 4,104 nodes and draws[16] 5,339; without the
-    # size-1 rule, sunlet(8) takes 1,562, draws[0] 3,816, sunlet(11) 8,932
-    # and draws[16] 3,613
+    # size-1 rule, sunlet(8) takes 1,562, draws[0] 3,816, sunlet(11) 8,932,
+    # draws[16] 3,613 and sunlet(16) 46,619
     draws = _gnp_draws()
     for g, nodes in ((b.wheel(10), 237), (b.sunlet(8), 302), (b.closed_ladder(8), 3271),
-                     (draws[0], 3680), (b.sunlet(11), 1519), (draws[16], 2024)):
+                     (draws[0], 3680), (b.sunlet(11), 1519), (draws[16], 2024),
+                     (b.sunlet(16), 770)):
         assert b.full_report(g).nodes_explored == nodes, g
 
 
@@ -447,37 +448,6 @@ def _small_graphs(max_vertices=7, draws=30):
     return out
 
 
-def test_b_search_is_exact_against_the_oracle():
-    # free mode and every size vector (non-increasing and reversed): the
-    # identity-order search finds the lexicographically smallest b-colouring
-    # the oracle lists, and the degree-order search refutes exactly when
-    # the oracle lists none
-    checks = 0
-    for label, g in _small_graphs():
-        degree_order = search._prepare(g, None, False)
-        identity = replace(degree_order, order=list(range(g.n)))
-        for k in range(1, g.n + 1):
-            first_by_sizes = {}
-            for c in b.enumerate_b_colourings(g, k):
-                first_by_sizes.setdefault(c.strengths(), c.colours)
-            expected_free = min(first_by_sizes.values(), default=None)
-            thetas = {t for theta in search._partitions_desc(g.n, k, g.n)
-                      for t in (theta, theta[::-1])}
-            for caps, expected in [(None, expected_free)] + [
-                    (t, first_by_sizes.get(t)) for t in sorted(thetas)]:
-                where = f"{label}, k={k}, caps={caps}"
-                found = search._b_search(identity, k, caps)
-                assert (found and tuple(found)) == expected, where
-                found = search._b_search(degree_order, k, caps)
-                assert (found is None) == (expected is None), where
-                if found is not None:
-                    colouring = b.Colouring(k, tuple(found))
-                    assert b.is_b_colouring(g, colouring), where
-                    assert caps is None or colouring.strengths() == caps, where
-                checks += 1
-    assert checks > 800
-
-
 def test_a_class_of_one_vertex_takes_only_a_vertex_with_k_minus_1_live_neighbours():
     # a class {x} has x as its b-vertex, and every other class's b-vertex
     # sees x's colour: x has k - 1 neighbours of degree >= k - 1.  No
@@ -495,7 +465,7 @@ def test_a_class_of_one_vertex_takes_only_a_vertex_with_k_minus_1_live_neighbour
     search._extremal_witnesses(p, 4)
     assert p.nodes == 314
     # the rule binds on part of the oracle's corpus, so the oracle test
-    # above checks it.  ones is built by the first capped search at k: a
+    # below checks it.  ones is built by the first capped search at k: a
     # free search, as chi and phi run, never reads it
     binding = 0
     for _, g in _small_graphs():
@@ -510,47 +480,54 @@ def test_a_class_of_one_vertex_takes_only_a_vertex_with_k_minus_1_live_neighbour
 
 
 def test_prefix_search_is_exact_against_the_oracle():
-    # every head of one or two colours, proper or not, in free mode and for
-    # every size vector in both orientations: head[:-1] fixes the first
-    # vertices and head[-1] bounds the colour of vertex j = len(head) - 1.
-    # The identity-order search finds the first colouring the oracle lists
-    # with prefix head[:-1] and a colour below the bound at j, and the
-    # degree-order search gives j the smallest such colour the oracle allows
+    # the empty head and every head of one or two colours, proper or not,
+    # in free mode and for every size vector in both orientations.  With
+    # head = () the identity-order search finds the lexicographically
+    # smallest b-colouring the oracle lists, and the degree-order search
+    # refutes exactly when the oracle lists none.  Otherwise head[:-1]
+    # fixes the first vertices and head[-1] bounds the colour of vertex
+    # j = len(head) - 1: the identity-order search finds the first
+    # colouring the oracle lists with prefix head[:-1] and a colour below
+    # the bound at j, and the degree-order search gives j the smallest such
+    # colour the oracle allows
     checks = 0
     for label, g in _small_graphs():
         degree_order = search._prepare(g, None, False)
         identity = replace(degree_order, order=list(range(g.n)))
         for k in range(1, g.n + 1):
-            # (sizes or None, prefix) -> first colouring listed; above
-            # m_degree the oracle lists none, so its walk is skipped
+            # (sizes or None, prefix) -> first colouring listed
             first = {}
-            for c in b.enumerate_b_colourings(g, k) if k <= m_degree(g) else ():
-                for j in (1, 2):
+            for c in b.enumerate_b_colourings(g, k):
+                for j in (0, 1, 2):
                     for caps in (None, c.strengths()):
                         first.setdefault((caps, c.colours[:j]), c.colours)
             thetas = {t for theta in search._partitions_desc(g.n, k, g.n)
                       for t in (theta, theta[::-1])}
-            heads = [h for j in range(1, min(2, g.n) + 1)
-                     for h in product(range(1, k + 1), repeat=j)]
+            heads = [()] + [h for j in range(1, min(2, g.n) + 1)
+                            for h in product(range(1, k + 1), repeat=j)]
             for caps in [None] + sorted(thetas):
                 for head in heads:
                     where = f"{label}, k={k}, caps={caps}, head={head}"
-                    prefix, bound = head[:-1], head[-1]
+                    prefix = head[:-1]
                     j = len(prefix)
-                    least = next((c for c in range(1, bound) if (caps, prefix + (c,)) in first),
-                                 None)
-                    expected = first.get((caps, prefix + (least,)))
+                    if head:
+                        least = next((c for c in range(1, head[-1])
+                                      if (caps, prefix + (c,)) in first), None)
+                        expected = first.get((caps, prefix + (least,)))
+                    else:
+                        expected = first.get((caps, ()))
                     found = search._b_search(identity, k, caps, head)
                     assert (found and tuple(found)) == expected, where
                     found = search._b_search(degree_order, k, caps, head)
-                    assert (found and found[j]) == least, where
+                    assert (found is None) == (expected is None), where
                     if found is not None:
+                        assert not head or found[j] == least, where
                         colouring = b.Colouring(k, tuple(found))
                         assert colouring.colours[:j] == prefix, where
                         assert b.is_b_colouring(g, colouring), where
                         assert caps is None or colouring.strengths() == caps, where
                     checks += 1
-    assert checks > 10000
+    assert checks >= 10800
 
 
 def test_realizers_past_the_oracle_match_the_identity_order_search():
@@ -658,71 +635,57 @@ def test_random_22_vertex_phi_nodes_are_pinned():
     assert search._phi(g, p) == 8 and p.nodes == 3384
 
 
-def test_phi_search_tries_no_k_above_m_degree(monkeypatch):
-    gnp = _gnp_draws()[0]
-    real = search._b_search
-    tried = []  # the k of each search run
-
-    def recording(p, k, caps, head=()):
-        tried.append(k)
-        return real(p, k, caps, head)
-
-    monkeypatch.setattr(search, "_b_search", recording)
-    for g in (b.wheel(10), b.wheel(30), gnp, b.sunlet(11)):
-        tried.clear()
-        phi = b.b_chromatic_number(g)
-        # phi runs one search for each k from m_degree down to phi
-        assert tried == list(range(m_degree(g), phi - 1, -1)), (g.n, tried)
-        b.full_report(g)
-        assert max(tried) <= m_degree(g), (g.n, sorted(set(tried)))
-
-
-def test_realize_searches_at_most_once_per_vertex(monkeypatch):
-    gnp = _gnp_draws()[0]
+def _record_b_search(monkeypatch):
+    """Patch search._b_search to record each call's (k, caps, head) in the
+    returned list, then run the real search."""
     real = search._b_search
     calls = []
 
     def recording(p, k, caps, head=()):
-        calls.append(len(head))
+        calls.append((k, caps, head))
         return real(p, k, caps, head)
 
-    cases = []
-    for g in (b.wheel(30), b.sunlet(8), b.closed_ladder(8), gnp):
-        p = search._prepare(g, None, False)
-        k = b.b_chromatic_number(g)
-        cases += [(p, k, witness) for witness in search._extremal_witnesses(p, k)]
     monkeypatch.setattr(search, "_b_search", recording)
-    for p, k, witness in cases:
+    return calls
+
+
+def test_phi_search_tries_no_k_above_m_degree(monkeypatch):
+    gnp = _gnp_draws()[0]
+    calls = _record_b_search(monkeypatch)
+    for g in (b.wheel(10), b.wheel(30), gnp, b.sunlet(11)):
         calls.clear()
-        search._realize(p, k, witness)
-        assert len(calls) <= len(p.adj), (len(p.adj), calls)
+        phi = b.b_chromatic_number(g)
+        # phi runs one search for each k from m_degree down to phi
+        tried = [k for k, _, _ in calls]
+        assert tried == list(range(m_degree(g), phi - 1, -1)), (g.n, tried)
+        b.full_report(g)
+        tried = [k for k, _, _ in calls]
+        assert max(tried) <= m_degree(g), (g.n, sorted(set(tried)))
 
 
 def test_realize_passes_a_proper_head_within_caps(monkeypatch):
     # _b_search replays head[:-1] without checking it: realize must pass a
-    # prefix that is proper and has no class past its cap
+    # prefix that is proper and has no class past its cap, and it runs at
+    # most one search per vertex
     gnp = _gnp_draws()[0]
-    real = search._b_search
-    heads = []
-
-    def recording(p, k, caps, head=()):
-        heads.append((p, caps, head))
-        return real(p, k, caps, head)
-
     cases = []
     for g in (b.wheel(30), b.sunlet(8), b.closed_ladder(8), gnp):
         p = search._prepare(g, None, False)
         k = b.b_chromatic_number(g)
         cases += [(p, k, witness) for witness in search._extremal_witnesses(p, k)]
-    monkeypatch.setattr(search, "_b_search", recording)
+    calls = _record_b_search(monkeypatch)
+    searched = 0
     for p, k, witness in cases:
+        calls.clear()
         search._realize(p, k, witness)
-    assert heads
-    for p, caps, head in heads:
-        fixed = head[:-1]
-        for v, c in enumerate(fixed):
-            assert all(fixed[u] != c for u in range(v) if p.adj[v] >> u & 1), (head, v)
-        assert all(fixed.count(c) <= cap for c, cap in enumerate(caps, start=1)), (head, caps)
+        assert len(calls) <= len(p.adj), (len(p.adj), [len(head) for *_, head in calls])
+        for _, caps, head in calls:
+            fixed = head[:-1]
+            for v, c in enumerate(fixed):
+                assert all(fixed[u] != c for u in range(v) if p.adj[v] >> u & 1), (head, v)
+            assert all(fixed.count(c) <= cap for c, cap in enumerate(caps, start=1)), (head, caps)
+        searched += len(calls)
+    assert searched
 
 
 def test_cubic_graphs_past_the_oracle():

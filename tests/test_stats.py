@@ -117,6 +117,14 @@ def test_colour_distribution_validates_its_sizes():
         b.ColourDistribution((3, -1))
 
 
+def test_stats_from_strengths_reads_its_sizes_once():
+    # an iterator of sizes gives the statistics of the same tuple
+    assert b.stats_from_strengths(iter([2, 1])) == b.stats_from_strengths((2, 1))
+    assert b.stats_from_strengths(t for t in (1, 1, 1)) == b.ChromaStats(F(2), F(2, 3))
+    with pytest.raises(ValueError, match="negative class size"):
+        b.stats_from_strengths(iter([3, -1]))
+
+
 def test_mean_examples():
     d = b.distribution(b.path(3), b.Colouring(2, (1, 2, 1)))
     assert b.mean(d) == F(4, 3)
