@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: gen, stats, phi, verify, sweep.  Machine output is
+Subcommands: gen, stats, phi, verify, sweep, errata.  Machine output is
 schema-stable: keys are emitted in a fixed order and every rational is an
 exact {"num": .., "den": ..} pair, so identical inputs give byte-identical
 JSON.
@@ -46,6 +46,14 @@ def _rat(x) -> dict:
 def _dump_json(obj, out) -> None:
     json.dump(obj, out, indent=2, default=_rat)
     out.write("\n")
+
+
+def _emit(record: dict, fmt: str, rows: list[dict] | None = None) -> None:
+    """Write record to stdout as JSON, or as CSV: rows, else the record as one row."""
+    if fmt == "csv":
+        gio.write_csv([record] if rows is None else rows, sys.stdout)
+    else:
+        _dump_json(record, sys.stdout)
 
 
 def _parse_range(text: str) -> range:
@@ -158,10 +166,7 @@ def cmd_stats(args) -> int:
     g, descriptor, c = _load_graph(args, args.colouring)
     record = (_report_record(g, descriptor, args) if c is None
               else _colouring_record(g, c, descriptor))
-    if args.format == "csv":
-        gio.write_csv([record], sys.stdout)
-    else:
-        _dump_json(record, sys.stdout)
+    _emit(record, args.format)
     return EXIT_OK
 
 
@@ -176,35 +181,27 @@ def cmd_phi(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def _sweep_record(command: str, args) -> tuple[dict, list[dict]]:
+    """The record of closed_forms.sweep over --range, and its rows."""
     ns = _parse_range(args.range)
-    entries = closed_forms.sweep(args.family, ns, max_n=args.max_n)
-    rows = [asdict(e) for e in entries]
-    record = _record(
-        "verify",
-        family=args.family,
-        range=[ns.start, ns.stop - 1],
-        rows=rows,
-        regressions=sum(1 for e in entries if not e.consistent and not e.error),
-        cap_errors=sum(1 for e in entries if e.error),
-    )
-    record["status"] = ("regression" if record["regressions"]
-                        else "cap-exceeded" if record["cap_errors"] else "ok")
-    if args.format == "csv":
-        gio.write_csv(rows, sys.stdout)
-    else:
-        _dump_json(record, sys.stdout)
-    return _VERIFY_EXIT_CODES[record["status"]]
+    rows = [asdict(e) for e in closed_forms.sweep(args.family, ns, max_n=args.max_n)]
+    return _record(command, family=args.family, range=[ns.start, ns.stop - 1],
+                   rows=rows), rows
+
+
+def cmd_verify(args) -> int:
+    record, rows = _sweep_record("verify", args)
+    regressions = sum(1 for row in rows if not row["consistent"] and not row["error"])
+    cap_errors = sum(1 for row in rows if row["error"])
+    status = "regression" if regressions else "cap-exceeded" if cap_errors else "ok"
+    record.update(regressions=regressions, cap_errors=cap_errors, status=status)
+    _emit(record, args.format, rows)
+    return _VERIFY_EXIT_CODES[status]
 
 
 def cmd_sweep(args) -> int:
-    ns = _parse_range(args.range)
-    rows = [asdict(e) for e in closed_forms.sweep(args.family, ns, max_n=args.max_n)]
-    if args.format == "json":
-        _dump_json(_record("sweep", family=args.family, range=[ns.start, ns.stop - 1],
-                           rows=rows), sys.stdout)
-    else:
-        gio.write_csv(rows, sys.stdout)
+    record, rows = _sweep_record("sweep", args)
+    _emit(record, args.format, rows)
     return EXIT_OK
 
 
@@ -223,6 +220,14 @@ def _add_graph_source(p: argparse.ArgumentParser) -> None:
                    help=f"override the search size cap (default {search.DEFAULT_SEARCH_CAP})")
     p.add_argument("--allow-disconnected", action="store_true",
                    help="permit statistics on disconnected graphs")
+
+
+def _add_sweep_args(p: argparse.ArgumentParser, formats: list[str]) -> None:
+    """verify's and sweep's arguments; the first of formats is the default."""
+    p.add_argument("--family", choices=FAMILY_CHOICES, required=True)
+    p.add_argument("--range", required=True, help="inclusive range A..B")
+    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--format", choices=formats, default=formats[0])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,17 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_phi)
 
     p = sub.add_parser("verify", help="sweep a family and gate on table consistency")
-    p.add_argument("--family", choices=FAMILY_CHOICES, required=True)
-    p.add_argument("--range", required=True, help="inclusive range A..B")
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
+    _add_sweep_args(p, ["json", "csv"])
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="emit the closed-form table for a family")
-    p.add_argument("--family", choices=FAMILY_CHOICES, required=True)
-    p.add_argument("--range", required=True, help="inclusive range A..B")
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    _add_sweep_args(p, ["csv", "json"])
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("errata", help="print the errata registry as CSV")

@@ -41,8 +41,7 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        if type(self.edges) is not frozenset:  # build_graph passes one
-            object.__setattr__(self, "edges", frozenset(self.edges))
+        object.__setattr__(self, "edges", frozenset(self.edges))
         if type(self.n) is not int or self.n < 1:
             raise GraphError(f"vertex count must be a positive integer, got {self.n!r}")
         for e in self.edges:

@@ -272,24 +272,6 @@ def test_disconnected_gate_and_override(tmp_path):
     assert code == 0 and json.loads(out)["chi"] == 2
 
 
-def test_verify_ok_and_deterministic():
-    args = ("verify", "--family", "wheel", "--range", "4..7")
-    code1, out1, _ = run_cli(*args)
-    code2, out2, _ = run_cli(*args)
-    assert code1 == code2 == 0
-    assert out1.encode() == out2.encode()
-    record = json.loads(out1)
-    assert record["status"] == "ok" and record["regressions"] == 0
-
-
-def test_verify_flags_known_errata_but_passes():
-    code, out, _ = run_cli("verify", "--family", "closed-ladder", "--range", "3..8")
-    assert code == 0
-    record = json.loads(out)
-    flagged = [row["n"] for row in record["rows"] if row["errata"]]
-    assert flagged == [3, 5, 6, 7]
-
-
 def test_verify_regression_exit_code(monkeypatch):
     from fractions import Fraction
 
@@ -307,6 +289,11 @@ def test_verify_regression_exit_code(monkeypatch):
     code, out, _ = run_cli("verify", "--family", "path", "--range", "2..6")
     assert code == 4
     assert json.loads(out)["status"] == "regression"
+    # sweep prints the same rows without the verdict, and exits 0
+    code, sweep_out, _ = run_cli("sweep", "--family", "path", "--range", "2..6",
+                                 "--format", "json")
+    assert code == 0
+    assert json.loads(sweep_out)["rows"] == json.loads(out)["rows"]
 
 
 def test_verify_cap_exit_code():
@@ -314,6 +301,12 @@ def test_verify_cap_exit_code():
                            "--max-n", "4")
     assert code == 3
     assert json.loads(out)["status"] == "cap-exceeded"
+    # sweep prints the capped rows as verify does, and exits 0
+    argv = ("--family", "path", "--range", "5..6", "--max-n", "5", "--format", "csv")
+    code, out, _ = run_cli("verify", *argv)
+    sweep_code, sweep_out, _ = run_cli("sweep", *argv)
+    assert (code, sweep_code) == (3, 0)
+    assert sweep_out == out == PINNED_PATH_VERIFY_CAPPED_CSV
 
 
 def test_sweep_csv():

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -179,6 +180,40 @@ def test_rule_sizes_are_the_searched_minimum_colouring():
                 assert rule.sizes(n) == report.min_colouring.strengths(), (rule.applies_to, n)
                 checked += 1
     assert checked == 25
+
+
+def _stated(text: str, n: int) -> dict[str, F]:
+    """The mean and variance a registry text states, evaluated at n: each
+    ", "-separated part is "mean X" or "variance X", where X is a number
+    such as 7/4 or a formula such as (n^2+16n-36)/(4n^2); a part may end
+    in a parenthesised remark."""
+    stated = {}
+    for part in text.split(", "):
+        name, value = re.fullmatch(r"(mean|variance) (\S+)(?: \(.*\))?", part).groups()
+        num, _, den = value.partition("/")
+        num, den = (eval(re.sub(r"(\d)n", r"\1*n", side).replace("^", "**"),
+                         {"__builtins__": {}}, {"n": n}) for side in (num, den or "1"))
+        stated[name] = F(num, den)
+    return stated
+
+
+def test_rule_texts_state_their_values():
+    # the printed text states printed_value, the corrected text the rule's
+    # value, at every n <= 64 the rule covers; a text may leave out one of
+    # the two (closed-ladder n = 6 prints no variance)
+    checked = 0
+    for rule in ERRATA_REGISTRY:
+        for n in range(_FAMILIES[rule.family].min_n, 65):
+            if not rule.condition(n):
+                continue
+            for text, (mean, variance) in ((rule.printed, printed_value(rule.family, n)),
+                                           (rule.corrected, rule.value(n))):
+                stated = _stated(text, n)
+                want = {"mean": mean, "variance": variance}
+                assert stated and stated == {name: want[name] for name in stated}, (
+                    rule.applies_to, n, text)
+            checked += 1
+    assert checked == 123
 
 
 def test_entry_consistency_flags_search_disagreement():
