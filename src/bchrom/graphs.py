@@ -160,9 +160,8 @@ def wheel(n: int) -> Graph:
     """Wheel with an n-cycle rim (vertices 1..n) plus hub n+1 joined to the rim."""
     if n < 3:
         raise GraphError("wheel requires rim size n >= 3")
-    rim = [(i, i % n + 1) for i in range(1, n + 1)]
     spokes = [(i, n + 1) for i in range(1, n + 1)]
-    return build_graph(n + 1, rim + spokes)
+    return build_graph(n + 1, [*cycle(n).edges, *spokes])
 
 
 def corona(g: Graph, h: Graph) -> Graph:

@@ -104,23 +104,23 @@ def _independence_number(adj: list[int]) -> int:
 
 def _partitions_desc(total: int, parts: int, largest: int) -> list[tuple[int, ...]]:
     """All non-increasing tuples of `parts` positive integers summing to
-    total, none above largest."""
+    total, none above largest.  The prefixes wait on an explicit stack, so
+    a thousand parts do not meet Python's recursion limit."""
     out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, slots: int, cap: int, prefix: tuple[int, ...]) -> None:
+    stack = [((), total, largest)]
+    while stack:
+        prefix, remaining, cap = stack.pop()
+        slots = parts - len(prefix)
         if slots == 1:
             if 1 <= remaining <= cap:
                 out.append(prefix + (remaining,))
-            return
-        upper = min(cap, remaining - (slots - 1))
-        for first in range(upper, 0, -1):
-            rec(remaining - first, slots - 1, first, prefix + (first,))
-
-    rec(total, parts, largest, ())
+            continue
+        for first in range(1, min(cap, remaining - (slots - 1)) + 1):
+            stack.append((prefix + (first,), remaining - first, first))
     return out
 
 
-def _extremal_witnesses(p: _Prepared, k: int) -> tuple[list[int], list[int]]:
+def _extremal_witnesses(p: _Prepared, k: int) -> tuple[Colouring, Colouring]:
     """(min_witness, max_witness): b-colourings with exactly k colours
     whose class sizes by label are those of the minimum- and the
     maximum-mean b-colourings.
@@ -133,7 +133,7 @@ def _extremal_witnesses(p: _Prepared, k: int) -> tuple[list[int], list[int]]:
     onto the other.  So one pass serves both ends, which differ only in
     the strength-vector tie-break among the hits: the min end's witness is
     the first hit, as the group is sorted by sizes, and the max end's is
-    the hit of least reversed sizes, each colour c relabelled k + 1 - c.
+    the hit of least reversed sizes, with its labels reversed.
     """
     _check_k(k)
     candidates = _partitions_desc(len(p.adj), k, _independence_number(p.adj))
@@ -145,30 +145,29 @@ def _extremal_witnesses(p: _Prepared, k: int) -> tuple[list[int], list[int]]:
             if assignment is not None:
                 hits.append((theta, assignment))
         if hits:
-            low = hits[0][1]
             high = min(hits, key=lambda hit: hit[0][::-1])[1]
-            return low, [k + 1 - c for c in high]
+            return Colouring(k, hits[0][1]), Colouring(k, high).reversed_labels()
     raise NoBColouringError(f"no b-colouring of this graph uses exactly {k} colours")
 
 
-def _realize(p: _Prepared, k: int, witness: list[int]) -> tuple[Colouring, ChromaStats]:
+def _realize(p: _Prepared, witness: Colouring) -> tuple[Colouring, ChromaStats]:
     """(colouring, stats): the lexicographically smallest b-colouring with
-    the class sizes of witness, itself a b-colouring with k colours.
+    the class sizes of witness, itself a b-colouring.
 
-    Prefix fixing, vertex by vertex: the capped search with head
-    witness[:v + 1] (`_b_search` says what a head fixes) gives v the
+    Prefix fixing, vertex by vertex: the capped search with the witness's
+    colours up to v as head (`_b_search` says what a head fixes) gives v the
     smallest colour below the witness's that any completion allows, and
     its completion becomes the witness.  If it finds none, v keeps the
     witness's colour, which the witness itself completes.  A vertex of
     colour 1 needs no search.
     """
-    caps = Colouring(k, witness).strengths()
+    k, caps, colours = witness.k, witness.strengths(), witness.colours
     for v in range(len(p.adj)):
-        if witness[v] > 1:
-            found = _b_search(p, k, caps, witness[:v + 1])
+        if colours[v] > 1:
+            found = _b_search(p, k, caps, colours[:v + 1])
             if found is not None:
-                witness = found
-    return Colouring(k, witness), stats_from_strengths(caps)
+                colours = found
+    return Colouring(k, colours), stats_from_strengths(caps)
 
 
 def chromatic_number(g: Graph, max_n: int | None = None,
@@ -191,14 +190,14 @@ def min_mean_b_colouring(g: Graph, k: int, max_n: int | None = None,
     strength vector, then lexicographically smallest assignment.
     """
     p = _prepare(g, max_n, allow_disconnected)
-    return _realize(p, k, _extremal_witnesses(p, k)[0])
+    return _realize(p, _extremal_witnesses(p, k)[0])
 
 
 def max_mean_b_colouring(g: Graph, k: int, max_n: int | None = None,
                          allow_disconnected: bool = False) -> tuple[Colouring, ChromaStats]:
     """Mean-maximising mirror of min_mean_b_colouring (same tie-break order)."""
     p = _prepare(g, max_n, allow_disconnected)
-    return _realize(p, k, _extremal_witnesses(p, k)[1])
+    return _realize(p, _extremal_witnesses(p, k)[1])
 
 
 def full_report(g: Graph, max_n: int | None = None,
@@ -211,8 +210,8 @@ def full_report(g: Graph, max_n: int | None = None,
     chi = _chi(p)
     phi = _phi(g, p)
     min_witness, max_witness = _extremal_witnesses(p, phi)
-    min_col, min_stats = _realize(p, phi, min_witness)
-    max_col, max_stats = _realize(p, phi, max_witness)
+    min_col, min_stats = _realize(p, min_witness)
+    max_col, max_stats = _realize(p, max_witness)
     return SearchReport(chi=chi, phi=phi,
                         min_colouring=min_col, min_stats=min_stats,
                         max_colouring=max_col, max_stats=max_stats,

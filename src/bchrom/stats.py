@@ -128,17 +128,9 @@ def b_vertices(g: Graph, c: Colouring, colour: int) -> frozenset[int]:
     b-valid iff this set is non-empty (vacuously so when k = 1).
     """
     _check_cover(g.n, c)
-    if not (1 <= colour <= c.k):
-        raise ValueError(f"colour {colour} outside 1..{c.k}")
-    found = []
-    for v in range(1, g.n + 1):
-        if c.colours[v - 1] != colour:
-            continue
-        # colours lie in 1..k, so k - 1 distinct others are all of them
-        seen = {c.colours[w - 1] for w in g.adjacency[v]} - {colour}
-        if len(seen) == c.k - 1:
-            found.append(v)
-    return frozenset(found)
+    # colours lie in 1..k, so k - 1 distinct others are all of them
+    return frozenset(v for v in c.colour_class(colour)
+                     if len({c.colours[w - 1] for w in g.adjacency[v]} - {colour}) == c.k - 1)
 
 
 def is_b_colouring(g: Graph, c: Colouring) -> bool:

@@ -7,9 +7,10 @@ import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 
 import bchrom as b
-from bchrom.cli import main
+from bchrom.cli import _rat, main
 from bchrom.closed_forms import ClosedFormEntry
 
 
@@ -147,6 +148,11 @@ def test_phi_text_and_json():
     code, out, _ = run_cli("phi", "--family", "sunlet", "--n", "5",
                            "--format", "json")
     assert code == 0 and json.loads(out)["phi"] == 3
+
+
+def test_json_default_rejects_what_is_not_a_fraction():
+    with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
+        json.dumps({"x": object()}, default=_rat)
 
 
 def test_exit_code_usage_errors():

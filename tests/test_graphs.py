@@ -194,3 +194,11 @@ def test_random_connected_graph_deterministic():
     g1 = b.random_connected_graph(7, random.Random(11), 0.4)
     g2 = b.random_connected_graph(7, random.Random(11), 0.4)
     assert g1 == g2 and g1.connected
+
+
+def test_random_connected_graph_gives_up_after_its_tries():
+    import random
+
+    # p = 0 never joins the two vertices, so every one of the 10,000 draws fails
+    with pytest.raises(GraphError, match="^no connected sample after 10000 tries"):
+        b.random_connected_graph(2, random.Random(0), 0.0)

@@ -37,6 +37,13 @@ def test_write_is_canonical(fmt):
     assert b.format_graph(b.parse_graph(text, fmt), fmt) == text
 
 
+def test_unknown_graph_format_is_rejected():
+    with pytest.raises(ValueError, match="^unknown graph format 'bogus'$"):
+        b.parse_graph("3 2\n1 2\n2 3\n", "bogus")
+    with pytest.raises(ValueError, match="^unknown graph format 'bogus'$"):
+        b.format_graph(b.path(3), "bogus")
+
+
 def test_read_write_streams():
     g = b.cycle(5)
     buf = io.StringIO()

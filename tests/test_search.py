@@ -323,8 +323,22 @@ def test_full_report_node_counts_are_pinned():
     draws = _gnp_draws()
     for g, nodes in ((b.wheel(10), 237), (b.sunlet(8), 302), (b.closed_ladder(8), 3271),
                      (draws[0], 3680), (b.sunlet(11), 1519), (draws[16], 2024),
-                     (b.sunlet(16), 770)):
+                     (b.sunlet(16), 770), (b.closed_ladder(16), 28026)):
         assert b.full_report(g).nodes_explored == nodes, g
+
+
+def test_partitions_desc_matches_brute_force():
+    # every non-increasing vector of positive parts, once each, against a
+    # filter over all vectors; the enumerator keeps its prefixes on a
+    # stack, so a thousand parts (K_1000 at k = 1000) meet no recursion limit
+    for total in range(1, 7):
+        for parts in range(1, total + 1):
+            for largest in range(1, total + 1):
+                expected = {t for t in product(range(1, largest + 1), repeat=parts)
+                            if sum(t) == total and list(t) == sorted(t, reverse=True)}
+                found = search._partitions_desc(total, parts, largest)
+                assert len(found) == len(expected) and set(found) == expected
+    assert search._partitions_desc(1000, 1000, 1) == [(1,) * 1000]
 
 
 def test_independence_cut_refutes_capped_classes():
@@ -546,7 +560,6 @@ def test_realizers_past_the_oracle_match_the_identity_order_search():
             sizes = realizer.strengths()
             found = search._b_search(replace(p, order=list(range(g.n))), r.phi, sizes)
             assert tuple(found) == realizer.colours, g
-            witness = b.Colouring(r.phi, tuple(witness))
             assert b.is_b_colouring(g, witness) and witness.strengths() == sizes, g
         assert list(r.max_colouring.strengths()) == sorted(r.max_colouring.strengths())
 
@@ -672,12 +685,12 @@ def test_realize_passes_a_proper_head_within_caps(monkeypatch):
     for g in (b.wheel(30), b.sunlet(8), b.closed_ladder(8), gnp):
         p = search._prepare(g, None, False)
         k = b.b_chromatic_number(g)
-        cases += [(p, k, witness) for witness in search._extremal_witnesses(p, k)]
+        cases += [(p, witness) for witness in search._extremal_witnesses(p, k)]
     calls = _record_b_search(monkeypatch)
     searched = 0
-    for p, k, witness in cases:
+    for p, witness in cases:
         calls.clear()
-        search._realize(p, k, witness)
+        search._realize(p, witness)
         assert len(calls) <= len(p.adj), (len(p.adj), [len(head) for *_, head in calls])
         for _, caps, head in calls:
             fixed = head[:-1]
