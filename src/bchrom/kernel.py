@@ -66,7 +66,14 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
     label order; of two labels with equal caps that are both still empty,
     only the lower may open, since swapping them maps any completion onto
     another.  So with the identity vertex order the first solution is the
-    lexicographically smallest completion.
+    lexicographically smallest completion.  A colour is open to a vertex
+    unless a coloured neighbour holds it, its class is full, or that rule
+    keeps it shut.  When no colour below head[-1] is open to j, the search
+    returns None with no node explored, right after the head is replayed
+    and before the rest of its state is set up; realize makes many such
+    calls.  That test reads only the first two reasons, since the rule
+    never shuts the last open colour: the lowest of a run of empty labels
+    with equal caps is open.
 
     The state is colour-major: per class c, the vertex mask members[c] and
     blocked[c], the vertices adjacent to class c.  A vertex may still join c
@@ -147,6 +154,24 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
     size = [0] * k
     members = [0] * k
     blocked = [0] * k
+    for v, c in enumerate(head[:-1]):  # the starting state
+        c -= 1
+        r = blocked[c]
+        size[c] += 1
+        members[c] |= 1 << v
+        blocked[c] = r | adj[v]
+        h = adj[v] & r & live  # the live neighbours of v that already saw c
+        while h:
+            u = h & -h
+            h ^= u
+            w = u.bit_length() - 1
+            slack[w] -= 1
+            if slack[w] < 0:
+                live ^= u
+    j = len(head) - 1  # the bounded vertex, when head is not empty
+    if head and all(blocked[c] >> j & 1 or size[c] == cap[c] for c in range(head[-1] - 1)):
+        return None  # no colour is open to j (see the docstring): no node to explore
+
     # feasible's scratch, rewritten at every node before it is read
     avail = [0] * k
     reach = [0] * k
@@ -233,21 +258,6 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
             below &= reach[c]
         return pool.bit_count() >= need
 
-    for v, c in enumerate(head[:-1]):  # the starting state
-        c -= 1
-        r = blocked[c]
-        size[c] += 1
-        members[c] |= 1 << v
-        blocked[c] = r | adj[v]
-        h = adj[v] & r & live  # the live neighbours of v that already saw c
-        while h:
-            u = h & -h
-            h ^= u
-            w = u.bit_length() - 1
-            slack[w] -= 1
-            if slack[w] < 0:
-                live ^= u
-    j = len(head) - 1  # the bounded vertex, when head is not empty
     rest = ([j] if head else []) + [v for v in p.order if v > j]
     m = len(rest)
     # uncoloured[i]: the vertices left uncoloured once rest[:i] is coloured

@@ -24,7 +24,8 @@ from .graphs import Graph, _check_caps, m_degree
 from .kernel import _b_search, _build, _Prepared
 # perfbench/workloads.py's instrumented() reads and patches this name on every run
 from .oracle import enumerate_b_colourings  # noqa: F401
-from .stats import ChromaStats, Colouring, NoBColouringError, _check_k, stats_from_strengths
+from .stats import (ChromaStats, Colouring, NoBColouringError, _check_k, _moments,
+                    stats_from_strengths)
 
 DEFAULT_SEARCH_CAP = 32
 
@@ -125,20 +126,22 @@ def _extremal_witnesses(p: _Prepared, k: int) -> tuple[Colouring, Colouring]:
     whose class sizes by label are those of the minimum- and the
     maximum-mean b-colourings.
 
-    Candidate size vectors are ranked by (mean, variance) with descending
-    labels, and each one in the first group of equal statistics is tested
-    with the capped search, which keeps the colouring of each hit.  A size
-    multiset maximises the mean (ascending labels) exactly when it
-    minimises it (descending labels): reversing labels maps one optimum
-    onto the other.  So one pass serves both ends, which differ only in
-    the strength-vector tie-break among the hits: the min end's witness is
-    the first hit, as the group is sorted by sizes, and the max end's is
-    the hit of least reversed sizes, with its labels reversed.
+    Candidate size vectors, with descending labels, are ranked by their
+    integer moments (`stats._moments`), then by the vector itself: all
+    candidates sum to n, so the moments order and group them exactly as
+    (mean, variance) do, without a Fraction per candidate.  Each vector in
+    the first group of equal moments is tested with the capped search,
+    which keeps the colouring of each hit.  A size multiset maximises the
+    mean (ascending labels) exactly when it minimises it (descending
+    labels): reversing labels maps one optimum onto the other.  So one pass
+    serves both ends, which differ only in the strength-vector tie-break
+    among the hits: the min end's witness is the first hit, as the group is
+    sorted by sizes, and the max end's is the hit of least reversed sizes,
+    with its labels reversed.
     """
     _check_k(k)
     candidates = _partitions_desc(len(p.adj), k, _independence_number(p.adj))
-    for _, group in groupby(sorted((stats_from_strengths(t), t) for t in candidates),
-                            key=itemgetter(0)):
+    for _, group in groupby(sorted((_moments(t), t) for t in candidates), key=itemgetter(0)):
         hits = []
         for _, theta in group:
             assignment = _b_search(p, k, theta)

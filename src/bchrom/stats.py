@@ -156,12 +156,24 @@ def _total(strengths) -> int:
     return n
 
 
+def _moments(strengths: tuple[int, ...]) -> tuple[int, int]:
+    """(m1, m2) = (sum of i * theta_i, sum of i^2 * theta_i) over the labels
+    i = 1..k, unchecked.  mean = m1 / n and variance = m2 / n - (m1 / n)^2,
+    so among vectors with one total n, (m1, m2) orders and groups them as
+    (mean, variance) do, in integers."""
+    m1 = m2 = i = 0
+    for t in strengths:
+        i += 1
+        m1 += i * t
+        m2 += i * i * t
+    return m1, m2
+
+
 def stats_from_strengths(strengths) -> ChromaStats:
     """Mean/variance of the colour index when class i has the given size."""
     strengths = tuple(strengths)
     n = _total(strengths)
-    m1 = sum(i * t for i, t in enumerate(strengths, start=1))
-    m2 = sum(i * i * t for i, t in enumerate(strengths, start=1))
+    m1, m2 = _moments(strengths)
     mean_ = Fraction(m1, n)
     return ChromaStats(mean_, Fraction(m2, n) - mean_ * mean_)
 

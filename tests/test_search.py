@@ -5,7 +5,7 @@ import types
 from dataclasses import replace
 from fractions import Fraction as F
 from functools import cache
-from itertools import permutations, product
+from itertools import groupby, permutations, product
 from pathlib import Path
 
 import pytest
@@ -21,6 +21,7 @@ from bchrom import (
     search,
 )
 from bchrom.closed_forms import Family, generate, sweep
+from bchrom.stats import _moments
 
 
 def test_chromatic_number_examples():
@@ -341,6 +342,22 @@ def test_partitions_desc_matches_brute_force():
     assert search._partitions_desc(1000, 1000, 1) == [(1,) * 1000]
 
 
+def test_moment_ranking_matches_the_statistics():
+    # the scan ranks its candidates by (m1, m2), then by the vector: at a
+    # fixed total that is the order and the grouping of (mean, variance)
+    for n in range(1, 21):
+        for k in range(1, n + 1):
+            candidates = search._partitions_desc(n, k, n)
+            by_moments = sorted(candidates, key=lambda t: (_moments(t), t))
+            by_stats = sorted(candidates, key=lambda t: (b.stats_from_strengths(t), t))
+            assert by_moments == by_stats, (n, k)
+            assert [len(list(group)) for _, group in groupby(by_moments, _moments)] == \
+                   [len(list(group)) for _, group in groupby(by_stats, b.stats_from_strengths)]
+    # two vectors of 20 with equal mean and variance fall in one group
+    assert _moments((9, 5, 5, 1)) == _moments((8, 8, 2, 2)) == (38, 90)
+    assert b.stats_from_strengths((9, 5, 5, 1)) == b.stats_from_strengths((8, 8, 2, 2))
+
+
 def test_independence_cut_refutes_capped_classes():
     # class 1 of cycle(32) can reach 16 only as one of the two alternate
     # halves, which the independence cut sees long before the last vertex;
@@ -542,6 +559,71 @@ def test_prefix_search_is_exact_against_the_oracle():
                         assert caps is None or colouring.strengths() == caps, where
                     checks += 1
     assert checks >= 10800
+
+
+def test_a_bounded_vertex_with_no_open_colour_returns_before_the_search_is_set_up():
+    # when no colour below head[-1] is open to the bounded vertex j, the
+    # search returns None with no node, before it reads p.order: a copy
+    # whose order is None gives the answer without raising
+    def empty(p, k, caps, head):
+        q = replace(p, order=None, nodes=0)
+        assert search._b_search(q, k, caps, head) is None and q.nodes == 0, (k, caps, head)
+        before = p.nodes
+        assert search._b_search(p, k, caps, head) is None and p.nodes == before, (k, caps, head)
+
+    path4 = search._prepare(b.path(4), None, False)  # edges 0-1, 1-2, 2-3
+    empty(path4, 2, (2, 2), (1, 2))     # colour 1 is held by j's neighbour 0
+    empty(path4, 2, (1, 3), (1, 2, 2))  # class 1 is full, and 2 is not next to 0
+    # the equal-caps rule shuts a colour only above an empty label with
+    # the same cap, and the lowest empty label of such a run is open: so
+    # it never shuts every colour below the bound by itself.  Here colour
+    # 1 is held by a neighbour, colour 3 is shut by the rule and colour 2
+    # is open, so the search runs
+    path6 = search._prepare(b.path(6), None, False)
+    with pytest.raises(TypeError):
+        search._b_search(replace(path6, order=None), 4, (3, 1, 1, 1), (1, 4))
+    # every head of up to three colours, proper and within caps, on the
+    # small graphs: the search returns early exactly when each colour
+    # below the bound is shut by one of the three reasons, applied here
+    # apart from the kernel, and otherwise it explores a node
+    shut_by = {"neighbour": 0, "full": 0, "equal caps": 0}
+    early = 0
+    for label, g in _small_graphs(max_vertices=6, draws=10):
+        p = search._prepare(g, None, False)
+        for k in range(1, min(g.n, 4) + 1):
+            thetas = {t for theta in search._partitions_desc(g.n, k, g.n)
+                      for t in (theta, theta[::-1])}
+            for caps in [None] + sorted(thetas):
+                cap = caps or (g.n,) * k
+                for head in (h for length in (1, 2, 3) if length <= g.n
+                             for h in product(range(1, k + 1), repeat=length)):
+                    fixed, j = head[:-1], len(head) - 1
+                    if any(fixed[u] == fixed[v] for v in range(j) for u in range(v)
+                           if p.adj[v] >> u & 1) or \
+                            any(fixed.count(c) > cap[c - 1] for c in range(1, k + 1)):
+                        continue  # _b_search takes only a proper head within caps
+                    reasons = []
+                    for c in range(1, head[-1]):
+                        if any(fixed[u] == c for u in range(j) if p.adj[j] >> u & 1):
+                            reasons.append("neighbour")
+                        elif fixed.count(c) == cap[c - 1]:
+                            reasons.append("full")
+                        elif c > 1 and cap[c - 2] == cap[c - 1] and c - 1 not in fixed \
+                                and c not in fixed:
+                            reasons.append("equal caps")
+                    for reason in reasons:
+                        shut_by[reason] += 1
+                    where = f"{label}, k={k}, caps={caps}, head={head}"
+                    if len(reasons) == head[-1] - 1:
+                        empty(p, k, caps, head)
+                        early += 1
+                    else:
+                        with pytest.raises(TypeError):
+                            search._b_search(replace(p, order=None), k, caps, head)
+                        before = p.nodes
+                        search._b_search(p, k, caps, head)
+                        assert p.nodes > before, where
+    assert early > 1000 and min(shut_by.values()) > 100, (early, shut_by)
 
 
 def test_realizers_past_the_oracle_match_the_identity_order_search():
