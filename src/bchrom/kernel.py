@@ -20,7 +20,7 @@ class _Prepared:
     order: list[int]        # the vertex order the search colours in
     nbhd: tuple             # N(S) for a vertex mask S, by lookup (see _build)
     nodes: int = 0          # search nodes explored on this graph so far
-    # k -> [live, slack, ones]: _b_search's starting state at k (see there)
+    # k -> [live, slack, {s: U(k, s)}]: _b_search's starting state at k (see there)
     slack: dict[int, list] = field(default_factory=dict)
 
 
@@ -102,14 +102,24 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
         independent: with mu disjoint edges among the vertices that may
         still join it, at most one end of each can, so it can grow by at
         most their number less mu;
-      * in capped mode, an empty class of size 1 that no vertex of ones
-        may join (the size-1 rule): a class {x} has x as its only
-        b-vertex (Irving & Manlove 1999), and every other class's
-        b-vertex sees x's colour, so x has k - 1 distinct neighbours of
-        degree >= k - 1 besides its own degree >= k - 1.  ones, the live
-        vertices with k - 1 live neighbours, is built once per prepared
-        graph and k, by the first capped search at k, and only a vertex of
-        ones may join such a class;
+      * in capped mode, an empty class of size 1 that no vertex of U(k, s)
+        may join, where s is the number of caps equal to 1 (the singleton
+        rule).  Take a b-colouring with k colours whose classes of size 1
+        are {x} for x in a set K of s vertices.  The b-vertex of {x} is x
+        itself (Irving & Manlove 1999), so x is live.  Every other y in K
+        is the b-vertex of {y} and sees x's colour, which only x carries,
+        so K is a clique.  The other k - s classes have distinct b-vertices,
+        all live, and each sees the colour of every x in K, so each is
+        adjacent to all of K: at least k - s live vertices are adjacent to
+        every vertex of K.  Call an s-set with these properties an
+        admissible clique, and U(k, s) the union of them all.  A vertex of
+        one has k - 1 live neighbours (s - 1 in K, k - s outside), so
+        U(k, 1) is ones, the live vertices with k - 1 live neighbours.
+        `_admissible` builds U(k, s) once per prepared graph, k and s, at
+        the first capped search at k with s caps equal to 1; free searches
+        never read it.  When U(k, s) is empty, no b-colouring has these
+        sizes, and the search returns None with no node explored, before
+        the head is replayed;
       * in capped mode, a class c with one slot left and no member that
         can still be its b-vertex (the last-joiner cut): the vertex that
         joins c last must be c's b-vertex, so only a live vertex in reach
@@ -145,11 +155,16 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
     if known is None:  # built once per prepared graph and k
         base = [a.bit_count() + 1 - k for a in adj]
         live = sum(1 << v for v in range(n) if base[v] >= 0)
-        known = p.slack[k] = [live, base, None]
-    live, slack, ones = known[0], known[1].copy(), known[2]
-    if ones is None and caps is not None:  # only capped searches read ones
-        ones = known[2] = sum(1 << v for v in range(n)
-                              if live >> v & 1 and (adj[v] & live).bit_count() >= k - 1)
+        known = p.slack[k] = [live, base, {}]
+    live, slack = known[0], known[1].copy()
+    singles = 0
+    s = 0 if caps is None else cap.count(1)  # the classes of size 1
+    if s:  # only capped searches with such a class read U(k, s)
+        singles = known[2].get(s)
+        if singles is None:  # built once per prepared graph, k and s
+            singles = known[2][s] = _admissible(adj, live, k, s)
+        if not singles:
+            return None  # no admissible clique (the singleton rule): no node to explore
 
     size = [0] * k
     members = [0] * k
@@ -181,7 +196,7 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
     def feasible(free: int, live: int, colours=range(k), downs=range(k - 1, 0, -1),
                  capped=caps is not None, size=size, cap=cap, members=members,
                  blocked=blocked, adj=adj, avail=avail, reach=reach, above=above,
-                 last=last, ones=ones, t0=t0, t1=t1, t2=t2, width=width,
+                 last=last, singles=singles, t0=t0, t1=t1, t2=t2, width=width,
                  width2=2 * width, mask=mask, covered=covered) -> bool:
         common = live  # live, and in reach of each class handled so far
         nl = 0
@@ -191,8 +206,8 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
             if size[c] < cap[c]:
                 a = free & ~r
                 if capped and size[c] + 1 == cap[c]:  # reach built below
-                    if not size[c]:  # a class of one vertex: see the size-1 rule
-                        a &= ones
+                    if not size[c]:  # a class of one vertex: see the singleton rule
+                        a &= singles
                     if not a:
                         return False
                     avail[c] = a
@@ -319,6 +334,54 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
         return colouring
     finally:
         p.nodes += nodes
+
+
+def _admissible(adj: list[int], live: int, k: int, s: int) -> int:
+    """U(k, s), the union of the admissible cliques of s vertices (see the
+    singleton rule in `_b_search`), for the live vertices at k.
+
+    Every vertex of an admissible clique is in ones, the live vertices
+    with k - 1 live neighbours.  For each vertex v of ones not yet in U, a
+    depth-first search on an explicit stack looks for one admissible clique
+    that holds v; the first one found adds all its vertices to U.  A frame
+    is a clique K that holds v, its candidates (vertices of ones adjacent
+    to all of K; a vertex added to K keeps only the candidates above it,
+    so each clique is met once), common, the live vertices adjacent to all
+    of K, and d = |K| + 1.  A candidate u extends K only when d plus
+    |common & N(u)| is at least k: each of the s - d vertices still to add
+    after u is in that set and leaves it, and k - s must stay.  K + u is
+    then admissible when d = s, and otherwise a frame when d plus its
+    candidates reaches s.
+    """
+    ones = sum(1 << v for v in range(len(adj))
+               if live >> v & 1 and (adj[v] & live).bit_count() >= k - 1)
+    if s == 1:  # each vertex of ones is an admissible clique by itself
+        return ones
+    union = 0
+    todo = ones
+    while todo:
+        v = todo & -todo
+        todo ^= v
+        w = v.bit_length() - 1
+        stack = [(v, ones & adj[w], live & adj[w], 2)]
+        while stack:
+            clique, cand, common, d = stack.pop()
+            while cand:
+                u = cand & -cand
+                cand ^= u
+                w = u.bit_length() - 1
+                shared = common & adj[w]
+                if d + shared.bit_count() < k:
+                    continue
+                if d == s:  # clique | u is admissible
+                    union |= clique | u
+                    todo &= ~union
+                    stack.clear()
+                    break
+                further = cand & adj[w]
+                if d + further.bit_count() >= s:
+                    stack.append((clique | u, further, shared, d + 1))
+    return union
 
 
 def _tail(tables: list[list[int]], m: int, width: int, mask: int) -> int:

@@ -5,7 +5,8 @@ import types
 from dataclasses import replace
 from fractions import Fraction as F
 from functools import cache
-from itertools import groupby, permutations, product
+from itertools import combinations, groupby, permutations, product
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -318,13 +319,17 @@ def _gnp_draws():
 def test_full_report_node_counts_are_pinned():
     # exact counts, so that a change to the search that moves them shows;
     # without the pooled count of the classes waiting for an uncoloured
-    # b-vertex, draws[0] takes 4,104 nodes and draws[16] 5,339; without the
-    # size-1 rule, sunlet(8) takes 1,562, draws[0] 3,816, sunlet(11) 8,932,
-    # draws[16] 3,613 and sunlet(16) 46,619
+    # b-vertex, draws[0] takes 1,528 nodes and draws[16] 2,966; without the
+    # singleton rule, sunlet(8) takes 1,562, draws[0] 3,816, sunlet(11)
+    # 8,932, draws[16] 3,613 and sunlet(16) 46,619; when it admitted to a
+    # class of one vertex any vertex with k - 1 live neighbours, whatever
+    # the other classes of one, sunlet(8) took 302, closed_ladder(8) 3,271,
+    # draws[0] 3,680, sunlet(11) 1,519, draws[16] 2,024, sunlet(16) 770
+    # and closed_ladder(16) 28,026
     draws = _gnp_draws()
-    for g, nodes in ((b.wheel(10), 237), (b.sunlet(8), 302), (b.closed_ladder(8), 3271),
-                     (draws[0], 3680), (b.sunlet(11), 1519), (draws[16], 2024),
-                     (b.sunlet(16), 770), (b.closed_ladder(16), 28026)):
+    for g, nodes in ((b.wheel(10), 237), (b.sunlet(8), 281), (b.closed_ladder(8), 3230),
+                     (draws[0], 1445), (b.sunlet(11), 1494), (draws[16], 2017),
+                     (b.sunlet(16), 745), (b.closed_ladder(16), 27937)):
         assert b.full_report(g).nodes_explored == nodes, g
 
 
@@ -365,23 +370,23 @@ def test_independence_cut_refutes_capped_classes():
     p = search._prepare(b.cycle(32), None, False)
     assert search._b_search(p, 3, (16, 14, 2)) is None and p.nodes == 1529
     # the scan of closed_ladder(12) refutes 8 size vectors before its hit:
-    # 147,413 nodes without the cut
+    # 147,396 nodes without the cut
     p = search._prepare(b.closed_ladder(12), None, False)
     search._extremal_witnesses(p, 4)
-    assert p.nodes == 10869
+    assert p.nodes == 10804
 
 
 def test_random_21_vertex_report_nodes_are_pinned():
     # the 21-vertex draw of the random-gnp benchmark: its scan refutes
     # vectors that end in classes of one vertex, where the last-joiner cut
-    # admits only a vertex that can be the class's b-vertex; 192,111
-    # nodes without that cut, 114,449 without the pooled count of the
-    # classes waiting for an uncoloured b-vertex, and 54,645 without the
-    # size-1 rule
+    # admits only a vertex that can be the class's b-vertex; 56,781
+    # nodes without that cut, 70,311 without the pooled count of the
+    # classes waiting for an uncoloured b-vertex, 54,645 without the
+    # singleton rule and 39,406 with it for one class of one vertex at a time
     rng = random.Random(21)
     g = b.random_connected_graph(21, rng, rng.uniform(0.2, 0.35))
     r = b.full_report(g)
-    assert (r.chi, r.phi, r.nodes_explored) == (4, 6, 39406)
+    assert (r.chi, r.phi, r.nodes_explored) == (4, 6, 38311)
 
 
 def test_trivial_graph_report_warns():
@@ -482,32 +487,103 @@ def _small_graphs(max_vertices=7, draws=30):
 def test_a_class_of_one_vertex_takes_only_a_vertex_with_k_minus_1_live_neighbours():
     # a class {x} has x as its b-vertex, and every other class's b-vertex
     # sees x's colour: x has k - 1 neighbours of degree >= k - 1.  No
-    # sunlet vertex has three, so at k = 4 a vector ending in 1 is refuted
-    # as soon as the first vertex is placed; (14, 9, 4, 1) took 13,465
-    # nodes without the rule
+    # sunlet vertex has three, so at k = 4 U(4, 1) is empty and a vector
+    # ending in 1 is refuted with no node; (14, 9, 4, 1) took 13,465 nodes
+    # without the rule
     p = search._prepare(b.sunlet(14), None, False)
     ending_in_1 = [t for t in search._partitions_desc(28, 4, 14) if t[-1] == 1]
     assert (14, 9, 4, 1) in ending_in_1
     for theta in ending_in_1:
-        before = p.nodes
-        assert search._b_search(p, 4, theta) is None and p.nodes - before <= 4, theta
+        assert search._b_search(p, 4, theta) is None and p.nodes == 0, theta
+    assert set(p.slack[4][2]) == {1, 2} and set(p.slack[4][2].values()) == {0}
     # the whole scan of sunlet(16): 46,163 nodes without the rule
     p = search._prepare(b.sunlet(16), None, False)
     search._extremal_witnesses(p, 4)
-    assert p.nodes == 314
-    # the rule binds on part of the oracle's corpus, so the oracle test
-    # below checks it.  ones is built by the first capped search at k: a
-    # free search, as chi and phi run, never reads it
+    assert p.nodes == 289
+    # p.slack[k][2] maps s to U(k, s), built by the first capped search at
+    # k with s caps equal to 1: a free search, as chi and phi run, never
+    # reads it.  U(k, 1) is ones, the live vertices with k - 1 live
+    # neighbours, and U(k, s) lies within it.  The rule binds on part of
+    # the oracle's corpus, so the oracle tests below check it
     binding = 0
     for _, g in _small_graphs():
         p = search._prepare(g, None, False)
         for k in range(1, g.n + 1):
             search._b_search(p, k, None)
-            assert p.slack[k][2] is None
-            search._b_search(p, k, (g.n - k + 1,) + (1,) * (k - 1))
-            live, _, ones = p.slack[k]
-            binding += ones != live
+            assert p.slack[k][2] == {}
+            theta = (g.n - k + 1,) + (1,) * (k - 1)
+            search._b_search(p, k, theta)
+            live, _, singles = p.slack[k]
+            assert set(singles) == {theta.count(1)} - {0}
+            ones = sum(1 << v for v in range(g.n)
+                       if live >> v & 1 and (p.adj[v] & live).bit_count() >= k - 1)
+            assert kernel._admissible(p.adj, live, k, 1) == ones
+            assert all(not u & ~ones for u in singles.values())
+            binding += any(u != live for u in singles.values())
     assert binding > 0
+
+
+def _admissible_by_brute_force(adj, k, s):
+    """U(k, s) from its definition: the union of the s-sets of vertices of
+    degree >= k - 1 that are cliques and have k - s common neighbours of
+    degree >= k - 1."""
+    live = [v for v in range(len(adj)) if adj[v].bit_count() >= k - 1]
+    live_mask = sum(1 << v for v in live)
+    union = 0
+    for clique in combinations(live, s):
+        common = live_mask
+        for v in clique:
+            common &= adj[v]
+        if all(adj[u] >> v & 1 for u, v in combinations(clique, 2)) and \
+                common.bit_count() >= k - s:
+            union |= sum(1 << v for v in clique)
+    return union
+
+
+def test_singleton_rule_is_exact_against_the_oracle():
+    # for every k and every size vector in both label orders, the capped
+    # search refutes exactly the vectors that no b-colouring of the oracle
+    # has.  U(k, s), as the search builds it, is the union of admissible
+    # cliques by their definition, and holds the vertices of the classes of
+    # size 1 of every b-colouring with s of them (the singleton rule's
+    # lemma).  When U(k, s) is empty, the search returns with no node
+    checks = early = singletons = 0
+    for label, g in _small_graphs():
+        p = search._prepare(g, None, False)
+        for k in range(1, g.n + 1):
+            colourings = list(b.enumerate_b_colourings(g, k))
+            sizes = {c.strengths() for c in colourings}
+            thetas = {t for theta in search._partitions_desc(g.n, k, g.n)
+                      for t in (theta, theta[::-1])}
+            for theta in sorted(thetas):
+                before = p.nodes
+                found = search._b_search(p, k, theta)
+                assert (found is None) == (theta not in sizes), (label, k, theta)
+                s = theta.count(1)
+                if s and not p.slack[k][2][s]:
+                    assert p.nodes == before, (label, k, theta)
+                    early += 1
+                checks += 1
+            for s, union in p.slack[k][2].items():
+                assert union == _admissible_by_brute_force(p.adj, k, s), (label, k, s)
+            for c in colourings:
+                ones = [v for v in range(g.n) if c.strengths()[c.colours[v] - 1] == 1]
+                if ones:
+                    assert all(p.slack[k][2][len(ones)] >> v & 1 for v in ones), (label, c)
+                    singletons += 1
+    assert checks >= 600 and singletons >= 7000 and early >= 150, (checks, singletons, early)
+
+
+def test_admissible_cliques_of_a_complete_graph():
+    # K_32 at k = 32 has one size vector, all ones, and U(32, 32) is the
+    # one clique of all 32 vertices: the clique search drops every branch
+    # that cannot reach 32 vertices, so it walks one path, not 2^32 sets
+    assert b.full_report(b.complete(32)).nodes_explored == 624
+    p = search._prepare(b.complete(32), None, False)
+    assert search._b_search(p, 32, (1,) * 32) == list(range(1, 33))
+    assert p.slack[32][2] == {32: 2 ** 32 - 1}
+    for s in range(1, 33):
+        assert kernel._admissible(p.adj, p.slack[32][0], 32, s) == 2 ** 32 - 1, s
 
 
 def test_prefix_search_is_exact_against_the_oracle():
@@ -564,7 +640,8 @@ def test_prefix_search_is_exact_against_the_oracle():
 def test_a_bounded_vertex_with_no_open_colour_returns_before_the_search_is_set_up():
     # when no colour below head[-1] is open to the bounded vertex j, the
     # search returns None with no node, before it reads p.order: a copy
-    # whose order is None gives the answer without raising
+    # whose order is None gives the answer without raising.  So does a
+    # capped search whose s caps equal to 1 have no admissible clique
     def empty(p, k, caps, head):
         q = replace(p, order=None, nodes=0)
         assert search._b_search(q, k, caps, head) is None and q.nodes == 0, (k, caps, head)
@@ -581,12 +658,13 @@ def test_a_bounded_vertex_with_no_open_colour_returns_before_the_search_is_set_u
     # is open, so the search runs
     path6 = search._prepare(b.path(6), None, False)
     with pytest.raises(TypeError):
-        search._b_search(replace(path6, order=None), 4, (3, 1, 1, 1), (1, 4))
+        search._b_search(replace(path6, order=None), 3, (2, 2, 2), (1, 4))
     # every head of up to three colours, proper and within caps, on the
     # small graphs: the search returns early exactly when each colour
-    # below the bound is shut by one of the three reasons, applied here
+    # below the bound is shut by one of the three reasons, or the caps
+    # have no admissible clique (the fourth reason), each applied here
     # apart from the kernel, and otherwise it explores a node
-    shut_by = {"neighbour": 0, "full": 0, "equal caps": 0}
+    shut_by = {"neighbour": 0, "full": 0, "equal caps": 0, "no admissible clique": 0}
     early = 0
     for label, g in _small_graphs(max_vertices=6, draws=10):
         p = search._prepare(g, None, False)
@@ -595,6 +673,8 @@ def test_a_bounded_vertex_with_no_open_colour_returns_before_the_search_is_set_u
                       for t in (theta, theta[::-1])}
             for caps in [None] + sorted(thetas):
                 cap = caps or (g.n,) * k
+                s = cap.count(1)
+                no_clique = bool(s) and not _admissible_by_brute_force(p.adj, k, s)
                 for head in (h for length in (1, 2, 3) if length <= g.n
                              for h in product(range(1, k + 1), repeat=length)):
                     fixed, j = head[:-1], len(head) - 1
@@ -613,8 +693,9 @@ def test_a_bounded_vertex_with_no_open_colour_returns_before_the_search_is_set_u
                             reasons.append("equal caps")
                     for reason in reasons:
                         shut_by[reason] += 1
+                    shut_by["no admissible clique"] += no_clique
                     where = f"{label}, k={k}, caps={caps}, head={head}"
-                    if len(reasons) == head[-1] - 1:
+                    if no_clique or len(reasons) == head[-1] - 1:
                         empty(p, k, caps, head)
                         early += 1
                     else:
@@ -796,6 +877,60 @@ def test_cubic_graphs_past_the_oracle():
     assert all(petersen.degree(v) == 3 for v in petersen.vertices())
     assert b.b_chromatic_number(petersen) == 3
     assert b.b_chromatic_number(b.complete_bipartite(3, 3)) == 2
+
+
+def _crown(n):
+    """K_{n,n} less a perfect matching: u_i = i and v_i = n + i, with
+    u_i ~ v_j exactly when i != j."""
+    return b.build_graph(2 * n, [(i, n + j) for i in range(1, n + 1)
+                                 for j in range(1, n + 1) if i != j])
+
+
+def test_crown_graphs_past_the_oracle():
+    """crown(n) has chi 2 and phi n, and for n >= 3 every b-colouring of it
+    with n colours has the classes {u_i, v_i}.
+
+    Proof.  Each vertex has degree n - 1 = k - 1, so the neighbours of a
+    b-vertex carry the n - 1 other colours, one each.  Some side, say U,
+    holds two b-vertices, u_i of colour c and u_l of colour c'.  Then
+    V - v_i carries every colour but c, and V - v_l every colour but c'.
+    Their common part V - {v_i, v_l} has n - 2 vertices and carries the
+    n - 2 colours other than c and c', so v_i has colour c and v_l colour
+    c'.  Then V is rainbow, and each u_j can take only v_j's colour.
+
+    So the only size vector at k = n is (2, ..., 2), both extremal means
+    are (n + 1)/2 with variance (n^2 - 1)/12, and both realizers colour
+    the pairs 1..n in vertex order.  The search is checked against this up
+    to 20 vertices, and the theorem itself against the oracle's stream on
+    crown(3) and crown(4).
+    """
+    for n in range(3, 11):
+        g = _crown(n)
+        p = search._prepare(g, None, False)
+        vectors = search._partitions_desc(2 * n, n, n)
+        assert [t for t in vectors if search._b_search(p, n, t) is not None] == [(2,) * n], n
+        r = b.full_report(g)
+        pairs = b.Colouring(n, tuple(range(1, n + 1)) * 2)
+        assert (r.chi, r.phi, r.min_colouring, r.max_colouring) == (2, n, pairs, pairs), n
+        assert r.min_stats == r.max_stats == b.ChromaStats(F(n + 1, 2), F(n * n - 1, 12)), n
+    for n in (3, 4):
+        pairings = [c.colours for c in b.enumerate_b_colourings(_crown(n), n)]
+        assert len(pairings) == factorial(n)
+        assert all(c[:n] == c[n:] for c in pairings), n
+
+
+def test_hypercube_b_spectra():
+    # Q3 has b-colourings with 2 and 4 colours but none with 3, so it is
+    # not b-continuous; Q4's b-spectrum is 2..5 and its phi is 5.  Each k
+    # is settled by one free search; the oracle agrees on Q3
+    q3 = b.cartesian_product(b.cycle(4), b.path(2))
+    q4 = b.cartesian_product(q3, b.path(2))
+    for g, spectrum in ((q3, [2, 4]), (q4, [2, 3, 4, 5])):
+        assert all(g.degree(v) == g.n.bit_length() - 1 for v in g.vertices())
+        p = search._prepare(g, None, False)
+        assert [k for k in range(1, g.n + 1) if search._b_search(p, k, None) is not None] == spectrum
+    assert [k for k in range(1, 9) if next(b.enumerate_b_colourings(q3, k), None)] == [2, 4]
+    assert b.b_chromatic_number(q4) == 5
 
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
