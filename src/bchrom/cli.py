@@ -70,7 +70,7 @@ def _parse_range(text: str) -> range:
 def _read_colouring(path: str | None) -> stats.Colouring | None:
     if not path:
         return None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return gio.parse_colouring(fh.read())
 
 
@@ -284,7 +284,10 @@ def main(argv=None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             return args.func(args)
     except tuple(_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = exc
+        if isinstance(exc, search.DisconnectedGraphError):  # name the flag, not the keyword
+            message = "graph is disconnected; pass --allow-disconnected to override"
+        print(f"error: {message}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
     finally:
         for w in caught:

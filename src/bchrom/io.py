@@ -110,7 +110,7 @@ def read_graph(source, fmt: str) -> Graph:
         with open(source, "rb") as fh:
             data = fh.read()
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        data = data.decode("utf-8-sig")  # a leading byte-order mark is dropped
     return parse_graph(data, fmt)
 
 

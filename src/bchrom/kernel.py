@@ -24,25 +24,46 @@ class _Prepared:
     slack: dict[int, list] = field(default_factory=dict)
 
 
+class _Chunk(dict):
+    """One chunk's table past 33 vertices: self[m] is the union of adj, the
+    chunk's neighbour masks, over the bits of m, kept from its first lookup."""
+
+    def __init__(self, adj: list[int]):
+        self.adj = adj
+
+    def __missing__(self, m: int) -> int:
+        r = 0
+        s = m
+        while s:
+            u = s & -s
+            s ^= u
+            r |= self.adj[u.bit_length() - 1]
+        self[m] = r
+        return r
+
+
 def _build(g: Graph) -> _Prepared:
     """g's bitmasks and neighbourhood tables, in degree-descending vertex
-    order (ties by index).  nbhd = (t0, t1, t2, tail, w, mask, covered)
-    gives N(S), the vertices adjacent to a vertex of the mask S, by lookup.
-    Every table has width w = min(11, ceil(n/3)), and mask = 2^w - 1:
-    tj[m] = N(m << jw) for S's chunk j, so t0, t1, t2 cover vertices
-    0..3w-1 (covered = 2^3w - 1), every vertex up to n = 33, with three
-    lookups.  Past 3w the tail has one table per w vertices, tail[j][m] =
-    N(m << (3 + j)w), which only a cap raised past 33 vertices reaches."""
+    order (ties by index).  nbhd = (t0, t1, t2, w, mask) gives N(S), the
+    vertices adjacent to a vertex of the mask S, by three lookups.  The
+    tables have width w = ceil(n/3), and mask = 2^w - 1: tj[m] = N(m << jw)
+    for S's chunk j, so t0, t1, t2 cover every vertex.  Up to 33 vertices
+    (w <= 11) each is a list of all its entries, which reads faster than a
+    dict; past that each is a _Chunk, which fills an entry at its first
+    lookup, so that memory grows with the masks a search meets, not 2^w."""
     adj = [sum(1 << (w - 1) for w in g.adjacency[v]) for v in g.vertices()]
-    w = min(11, -(-g.n // 3))
+    w = -(-g.n // 3)
     tables = []
-    for base in range(0, max(g.n, 3 * w), w):
+    for base in range(0, 3 * w, w):
+        if w > 11:
+            tables.append(_Chunk(adj[base:base + w]))
+            continue
         table = [0]
         for u in range(base, min(base + w, g.n)):
             table += [m | adj[u] for m in table]
         tables.append(table)
     order = sorted(range(g.n), key=lambda v: (-adj[v].bit_count(), v))
-    return _Prepared(adj, order, (*tables[:3], tables[3:], w, (1 << w) - 1, (1 << 3 * w) - 1))
+    return _Prepared(adj, order, (*tables, w, (1 << w) - 1))
 
 
 def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
@@ -138,17 +159,16 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
     refutations are exact and the first solution is the one an uncut
     search would find.  The cuts run in feasible(), once per node: it
     builds reach[c] = blocked[c] | N(a), where a holds the vertices that may
-    still join c, as one three-term lookup in p.nbhd (a fourth term, the
-    tail, only for a vertex at or past 3w), and writes its per-class masks
-    to arrays allocated once per call.  The search is a loop over an
-    explicit stack, so its depth is not bounded by Python's recursion
-    limit: depth i keeps the colour its vertex holds, the blocked mask of
-    that colour from before the vertex joined it and the live vertices
-    whose slack it lowered, and undoes all three on the way back.  The
-    colouring is read from the head and the colours held per depth.
+    still join c, as one three-term lookup in p.nbhd, and writes its
+    per-class masks to arrays allocated once per call.  The search is a
+    loop over an explicit stack, so its depth is not bounded by Python's
+    recursion limit: depth i keeps the colour its vertex holds, the blocked
+    mask of that colour from before the vertex joined it and the live
+    vertices whose slack it lowered, and undoes all three on the way back.
+    The colouring is read from the head and the colours held per depth.
     """
     adj = p.adj
-    t0, t1, t2, tail, width, mask, covered = p.nbhd
+    t0, t1, t2, width, mask = p.nbhd
     n = len(adj)
     cap = [n] * k if caps is None else list(caps)
     known = p.slack.get(k)
@@ -197,7 +217,7 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
                  capped=caps is not None, size=size, cap=cap, members=members,
                  blocked=blocked, adj=adj, avail=avail, reach=reach, above=above,
                  last=last, singles=singles, t0=t0, t1=t1, t2=t2, width=width,
-                 width2=2 * width, mask=mask, covered=covered) -> bool:
+                 width2=2 * width, mask=mask) -> bool:
         common = live  # live, and in reach of each class handled so far
         nl = 0
         for c in colours:
@@ -215,8 +235,6 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
                     nl += 1
                     continue
                 r |= t0[a & mask] | t1[a >> width & mask] | t2[a >> width2 & mask]
-                if a > covered:
-                    r |= _tail(tail, a >> width2 + width, width, mask)
                 if capped:
                     # spare: how many of the vertices in a class c can leave out
                     spare = size[c] + a.bit_count() - cap[c]
@@ -252,8 +270,6 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
                     return False
                 avail[c] = a
             r = blocked[c] | t0[a & mask] | t1[a >> width & mask] | t2[a >> width2 & mask]
-            if a > covered:
-                r |= _tail(tail, a >> width2 + width, width, mask)
             reach[c] = r
             common &= r
         # candidates of c: AND of reach[d] over d != c, as the AND over
@@ -382,14 +398,3 @@ def _admissible(adj: list[int], live: int, k: int, s: int) -> int:
                 if d + further.bit_count() >= s:
                     stack.append((clique | u, further, shared, d + 1))
     return union
-
-
-def _tail(tables: list[list[int]], m: int, width: int, mask: int) -> int:
-    """N(S) over the tail's w-bit tables, for m = S >> 3w."""
-    r = 0
-    for table in tables:
-        if not m:
-            break
-        r |= table[m & mask]
-        m >>= width
-    return r

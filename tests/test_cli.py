@@ -91,6 +91,25 @@ def test_stats_with_colouring_file(tmp_path):
     assert record["classes_without_b_vertex"] == []
 
 
+def test_byte_order_mark_is_accepted(tmp_path):
+    # Windows editors save UTF-8 with a leading byte-order mark; each file
+    # gives the bytes its unmarked copy gives
+    files = {"g.txt": "3 2\n1 2\n2 3\n", "g.col": "p edge 3 2\ne 1 2\ne 2 3\n",
+             "c.txt": "2\n1 1\n2 2\n3 1\n"}
+
+    def runs(mark):
+        for name, text in files.items():
+            (tmp_path / name).write_text(mark + text, encoding="utf-8")
+        return [run_cli("stats", "--graph", str(tmp_path / "g.txt")),
+                run_cli("stats", "--graph", str(tmp_path / "g.col"), "--graph-format", "dimacs"),
+                run_cli("stats", "--family", "path", "--n", "3",
+                        "--colouring", str(tmp_path / "c.txt"))]
+
+    unmarked = runs("")
+    assert [code for code, _, _ in unmarked] == [0, 0, 0]
+    assert runs("\ufeff") == unmarked
+
+
 def test_stats_with_many_declared_colours(tmp_path):
     # each class's b-vertex test is linear in the degree, not in k
     colouring = tmp_path / "c.txt"
@@ -271,8 +290,14 @@ def test_colouring_length_checked_before_building(monkeypatch, tmp_path):
 def test_disconnected_gate_and_override(tmp_path):
     target = tmp_path / "two.col"
     target.write_text("p edge 4 2\ne 1 2\ne 3 4\n")
-    code, _, err = run_cli("stats", "--graph", str(target), "--graph-format", "dimacs")
-    assert code == 2 and "disconnected" in err
+    # the CLI names its flag; the library names its keyword
+    line = "error: graph is disconnected; pass --allow-disconnected to override\n"
+    for command in ("stats", "phi"):
+        code, out, err = run_cli(command, "--graph", str(target), "--graph-format", "dimacs")
+        assert (code, out, err) == (2, "", line)
+    with pytest.raises(b.DisconnectedGraphError,
+                       match=r"^graph is disconnected; pass allow_disconnected=True to override$"):
+        b.b_chromatic_number(b.read_graph(target, "dimacs"))
     code, out, _ = run_cli("stats", "--graph", str(target),
                            "--graph-format", "dimacs", "--allow-disconnected")
     assert code == 0 and json.loads(out)["chi"] == 2

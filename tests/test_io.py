@@ -94,6 +94,15 @@ def test_malformed_edgelist(text):
         b.parse_graph(text, "edgelist")
 
 
+@pytest.mark.parametrize("fmt", ["dimacs", "edgelist"])
+def test_byte_order_mark_is_dropped(fmt, tmp_path):
+    g = b.wheel(5)
+    data = "\ufeff".encode() + b.format_graph(g, fmt).encode()
+    target = tmp_path / "marked.txt"
+    target.write_bytes(data)
+    assert b.read_graph(target, fmt) == b.read_graph(io.BytesIO(data), fmt) == g
+
+
 def test_colouring_round_trip():
     c = b.Colouring(3, (1, 2, 1, 3))
     assert b.parse_colouring(b.format_colouring(c)) == c

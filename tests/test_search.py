@@ -325,11 +325,14 @@ def test_full_report_node_counts_are_pinned():
     # class of one vertex any vertex with k - 1 live neighbours, whatever
     # the other classes of one, sunlet(8) took 302, closed_ladder(8) 3,271,
     # draws[0] 3,680, sunlet(11) 1,519, draws[16] 2,024, sunlet(16) 770
-    # and closed_ladder(16) 28,026
+    # and closed_ladder(16) 28,026.  The square of a path (i ~ i+1, i+2)
+    # at 24 vertices is the baseline of a wall: 373,081 nodes at 28
+    # vertices and 2,077,582 at 32
     draws = _gnp_draws()
+    square = b.build_graph(24, [(i, j) for i in range(1, 25) for j in (i + 1, i + 2) if j <= 24])
     for g, nodes in ((b.wheel(10), 237), (b.sunlet(8), 281), (b.closed_ladder(8), 3230),
                      (draws[0], 1445), (b.sunlet(11), 1494), (draws[16], 2017),
-                     (b.sunlet(16), 745), (b.closed_ladder(16), 27937)):
+                     (b.sunlet(16), 745), (b.closed_ladder(16), 27937), (square, 32031)):
         assert b.full_report(g).nodes_explored == nodes, g
 
 
@@ -949,16 +952,16 @@ def test_cap_below_one_is_malformed():
 
 
 def test_neighbourhood_tables_match_the_adjacency():
-    # every table holds w = min(11, ceil(n/3)) vertices: t0, t1, t2 the
-    # first 3w, the tail one table per w vertices from 3w on; an entry m of
-    # a table is N of the vertices its bits name, and the lookup of a vertex
-    # set S is the union of adj over S
+    # t0, t1, t2 each hold w = ceil(n/3) vertices, so three lookups cover
+    # every vertex: up to 33 vertices as lists with an entry per subset of
+    # the chunk's vertices, past that as dicts filled at each first lookup.
+    # The lookup of a vertex set S is the union of adj over S
     rng = random.Random(5)
-    for n in (1, 2, 4, 7, 8, 9, 11, 24, 25, 33, 34, 40, 60):
+    for n in (*range(1, 41), 60, 100, 1000):
         edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
-                 if rng.random() < 0.3]
+                 if rng.random() < (0.3 if n <= 60 else 3 / n)]
         p = kernel._build(b.graphs.build_graph(n, edges))
-        t0, t1, t2, tail, w, mask, covered = p.nbhd
+        t0, t1, t2, w, mask = p.nbhd
 
         def union(vertices):
             out = 0
@@ -966,16 +969,21 @@ def test_neighbourhood_tables_match_the_adjacency():
                 out |= p.adj[u]
             return out
 
-        assert (w, mask, covered) == (min(11, -(-n // 3)), 2 ** w - 1, 2 ** (3 * w) - 1)
-        spans = range(0, max(n, 3 * w), w)
-        assert len(tail) == len(spans) - 3
-        for table, base in zip((t0, t1, t2, *tail), spans):
-            vertices = range(base, min(base + w, n))
-            assert len(table) == 2 ** len(vertices), (n, base)
-            for m in {0, len(table) - 1, *(rng.randrange(len(table)) for _ in range(40))}:
-                assert table[m] == union(u for i, u in enumerate(vertices) if m >> i & 1), (n, base, m)
+        assert (w, mask) == (-(-n // 3), 2 ** w - 1)
+        for j, table in enumerate((t0, t1, t2)):
+            vertices = range(j * w, min(j * w + w, n))
+            if w <= 11:
+                assert type(table) is list and len(table) == 2 ** len(vertices), (n, j)
+            else:
+                assert isinstance(table, dict) and not table, (n, j)
+            size = len(vertices)
+            for m in {0, 2 ** size - 1, *(rng.getrandbits(size) for _ in range(40))}:
+                assert table[m] == union(u for i, u in enumerate(vertices) if m >> i & 1), (n, j, m)
         for s in [1 << u for u in range(n)] + [rng.getrandbits(n) for _ in range(40)]:
             looked_up = t0[s & mask] | t1[s >> w & mask] | t2[s >> 2 * w & mask]
-            if s > covered:
-                looked_up |= kernel._tail(tail, s >> 3 * w, w, mask)
             assert looked_up == union(u for u in range(n) if s >> u & 1), (n, s)
+    # path(1000)'s phi reads 1,168 entries of its three 334-vertex chunks
+    g = b.path(1000)
+    p = search._prepare(g, 1000, False)
+    assert search._phi(g, p) == 3
+    assert sum(len(table) for table in p.nbhd[:3]) == 1168
