@@ -70,7 +70,7 @@ def _parse_range(text: str) -> range:
 def _read_colouring(path: str | None) -> stats.Colouring | None:
     if not path:
         return None
-    with open(path, encoding="utf-8-sig") as fh:
+    with open(path, encoding="utf-8") as fh:
         return gio.parse_colouring(fh.read())
 
 

@@ -38,10 +38,16 @@ def _int_pair(parts: list[str], where: str) -> tuple[int, int]:
         raise FormatError(f"{where}: expected two integers, got {parts!r}") from exc
 
 
+def _lines(text: str) -> list[str]:
+    """text's lines, less a leading byte-order mark: every parser reads its
+    input through this, so text and bytes alike may start with one."""
+    return text.removeprefix("\ufeff").splitlines()
+
+
 def _parse_dimacs(text: str) -> tuple[int, list[tuple[int, int]]]:
     n = m = None
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         parts = line.split()
         if not parts or parts[0] == "c":
@@ -67,7 +73,7 @@ def _parse_dimacs(text: str) -> tuple[int, list[tuple[int, int]]]:
 
 
 def _parse_edgelist(text: str) -> tuple[int, list[tuple[int, int]]]:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [ln.strip() for ln in _lines(text) if ln.strip()]
     if not lines:
         raise FormatError("empty edge-list input")
     n, m = _int_pair(lines[0].split(), "line 1")
@@ -110,7 +116,7 @@ def read_graph(source, fmt: str) -> Graph:
         with open(source, "rb") as fh:
             data = fh.read()
     if isinstance(data, bytes):
-        data = data.decode("utf-8-sig")  # a leading byte-order mark is dropped
+        data = data.decode("utf-8")
     return parse_graph(data, fmt)
 
 
@@ -125,7 +131,7 @@ def write_graph(g: Graph, destination, fmt: str) -> None:
 
 
 def parse_colouring(text: str) -> Colouring:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [ln.strip() for ln in _lines(text) if ln.strip()]
     if not lines:
         raise FormatError("empty colouring input")
     try:

@@ -86,15 +86,17 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
     other vertices are coloured in order and take colours in ascending
     label order; of two labels with equal caps that are both still empty,
     only the lower may open, since swapping them maps any completion onto
-    another.  So with the identity vertex order the first solution is the
-    lexicographically smallest completion.  A colour is open to a vertex
-    unless a coloured neighbour holds it, its class is full, or that rule
-    keeps it shut.  When no colour below head[-1] is open to j, the search
-    returns None with no node explored, right after the head is replayed
-    and before the rest of its state is set up; realize makes many such
-    calls.  That test reads only the first two reasons, since the rule
-    never shuts the last open colour: the lowest of a run of empty labels
-    with equal caps is open.
+    another, smaller at the first vertex coloured either.  So the first
+    solution is the lexicographically smallest completion along the order
+    the search colours in (j, then the vertices above j in p.order), under
+    any p.order; `search._settled` reads realize's skips off this.  A
+    colour is open to a vertex unless a coloured neighbour holds it, its
+    class is full, or that rule keeps it shut.  When no colour below
+    head[-1] is open to j, the search returns None with no node explored,
+    right after the head is replayed and before the rest of its state is
+    set up; realize makes such calls.  That test reads only the first two
+    reasons, since the rule never shuts the last open colour: the lowest
+    of a run of empty labels with equal caps is open.
 
     The state is colour-major: per class c, the vertex mask members[c] and
     blocked[c], the vertices adjacent to class c.  A vertex may still join c

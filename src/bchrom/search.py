@@ -153,23 +153,46 @@ def _extremal_witnesses(p: _Prepared, k: int) -> tuple[Colouring, Colouring]:
     raise NoBColouringError(f"no b-colouring of this graph uses exactly {k} colours")
 
 
-def _realize(p: _Prepared, witness: Colouring) -> tuple[Colouring, ChromaStats]:
+def _settled(p: _Prepared, j: int) -> int:
+    """The first vertex after j that a first solution of `_b_search` with a
+    head ending at j (j = -1 for no head) may not have at its least colour.
+
+    That search colours j, then the vertices above j in p.order; its first
+    solution is the lexicographically smallest completion along that order
+    (see `_b_search`).  So while the order runs j + 1, j + 2, ... in index
+    order, no completion that agrees with it on 0..u-1 gives u a smaller
+    colour, and a search for one could only fail."""
+    b = j + 1
+    for u in p.order:
+        if u > j:
+            if u != b:
+                break
+            b += 1
+    return b
+
+
+def _realize(p: _Prepared, witness: Colouring, settled: int) -> tuple[Colouring, ChromaStats]:
     """(colouring, stats): the lexicographically smallest b-colouring with
-    the class sizes of witness, itself a b-colouring.
+    the class sizes of witness, itself a b-colouring whose vertices below
+    settled already hold their least colours given those before them.
 
     Prefix fixing, vertex by vertex: the capped search with the witness's
     colours up to v as head (`_b_search` says what a head fixes) gives v the
     smallest colour below the witness's that any completion allows, and
-    its completion becomes the witness.  If it finds none, v keeps the
-    witness's colour, which the witness itself completes.  A vertex of
-    colour 1 needs no search.
+    its completion becomes the witness, with the vertices below
+    `_settled(p, v)` settled.  If it finds none, v keeps the witness's
+    colour, which the witness itself completes.  A vertex of colour 1, or
+    below settled, needs no search: the scan's min witness, a first
+    solution in p.order, comes with `_settled(p, -1)`, and a witness with
+    its labels reversed with 0.
     """
     k, caps, colours = witness.k, witness.strengths(), witness.colours
     for v in range(len(p.adj)):
-        if colours[v] > 1:
+        if v >= settled and colours[v] > 1:
             found = _b_search(p, k, caps, colours[:v + 1])
             if found is not None:
                 colours = found
+                settled = _settled(p, v)
     return Colouring(k, colours), stats_from_strengths(caps)
 
 
@@ -193,14 +216,14 @@ def min_mean_b_colouring(g: Graph, k: int, max_n: int | None = None,
     strength vector, then lexicographically smallest assignment.
     """
     p = _prepare(g, max_n, allow_disconnected)
-    return _realize(p, _extremal_witnesses(p, k)[0])
+    return _realize(p, _extremal_witnesses(p, k)[0], _settled(p, -1))
 
 
 def max_mean_b_colouring(g: Graph, k: int, max_n: int | None = None,
                          allow_disconnected: bool = False) -> tuple[Colouring, ChromaStats]:
     """Mean-maximising mirror of min_mean_b_colouring (same tie-break order)."""
     p = _prepare(g, max_n, allow_disconnected)
-    return _realize(p, _extremal_witnesses(p, k)[1])
+    return _realize(p, _extremal_witnesses(p, k)[1], 0)
 
 
 def full_report(g: Graph, max_n: int | None = None,
@@ -213,8 +236,8 @@ def full_report(g: Graph, max_n: int | None = None,
     chi = _chi(p)
     phi = _phi(g, p)
     min_witness, max_witness = _extremal_witnesses(p, phi)
-    min_col, min_stats = _realize(p, min_witness)
-    max_col, max_stats = _realize(p, max_witness)
+    min_col, min_stats = _realize(p, min_witness, _settled(p, -1))
+    max_col, max_stats = _realize(p, max_witness, 0)
     return SearchReport(chi=chi, phi=phi,
                         min_colouring=min_col, min_stats=min_stats,
                         max_colouring=max_col, max_stats=max_stats,

@@ -103,6 +103,16 @@ def test_byte_order_mark_is_dropped(fmt, tmp_path):
     assert b.read_graph(target, fmt) == b.read_graph(io.BytesIO(data), fmt) == g
 
 
+def test_byte_order_mark_is_dropped_from_text():
+    # a text stream or string may still hold the mark, as a file opened
+    # with encoding="utf-8" does; only a leading one is dropped
+    assert b.read_graph(io.StringIO("\ufeff3 2\n1 2\n2 3\n"), "edgelist") == b.path(3)
+    assert b.parse_graph("\ufeffp edge 2 1\ne 1 2\n", "dimacs") == b.path(2)
+    assert b.parse_colouring("\ufeff2\n1 1\n2 2\n") == b.Colouring(2, (1, 2))
+    with pytest.raises(FormatError):
+        b.parse_graph("3 2\n\ufeff1 2\n2 3\n", "edgelist")
+
+
 def test_colouring_round_trip():
     c = b.Colouring(3, (1, 2, 1, 3))
     assert b.parse_colouring(b.format_colouring(c)) == c

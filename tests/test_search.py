@@ -325,14 +325,17 @@ def test_full_report_node_counts_are_pinned():
     # class of one vertex any vertex with k - 1 live neighbours, whatever
     # the other classes of one, sunlet(8) took 302, closed_ladder(8) 3,271,
     # draws[0] 3,680, sunlet(11) 1,519, draws[16] 2,024, sunlet(16) 770
-    # and closed_ladder(16) 28,026.  The square of a path (i ~ i+1, i+2)
-    # at 24 vertices is the baseline of a wall: 373,081 nodes at 28
-    # vertices and 2,077,582 at 32
+    # and closed_ladder(16) 28,026.  When realize searched every vertex,
+    # not only those its witness leaves unsettled, sunlet(8) took 281,
+    # closed_ladder(8) 3,230, sunlet(11) 1,494, draws[16] 2,017, sunlet(16)
+    # 745, closed_ladder(16) 27,937 and the square of a path 32,031.  The
+    # square of a path (i ~ i+1, i+2) at 24 vertices is the baseline of a
+    # wall: 373,081 nodes at 28 vertices and 2,077,469 at 32
     draws = _gnp_draws()
     square = b.build_graph(24, [(i, j) for i in range(1, 25) for j in (i + 1, i + 2) if j <= 24])
-    for g, nodes in ((b.wheel(10), 237), (b.sunlet(8), 281), (b.closed_ladder(8), 3230),
-                     (draws[0], 1445), (b.sunlet(11), 1494), (draws[16], 2017),
-                     (b.sunlet(16), 745), (b.closed_ladder(16), 27937), (square, 32031)):
+    for g, nodes in ((b.wheel(10), 237), (b.sunlet(8), 176), (b.closed_ladder(8), 3161),
+                     (draws[0], 1445), (b.sunlet(11), 804), (draws[16], 1853),
+                     (b.sunlet(16), 440), (b.closed_ladder(16), 27548), (square, 31777)):
         assert b.full_report(g).nodes_explored == nodes, g
 
 
@@ -851,12 +854,13 @@ def test_realize_passes_a_proper_head_within_caps(monkeypatch):
     for g in (b.wheel(30), b.sunlet(8), b.closed_ladder(8), gnp):
         p = search._prepare(g, None, False)
         k = b.b_chromatic_number(g)
-        cases += [(p, witness) for witness in search._extremal_witnesses(p, k)]
+        low, high = search._extremal_witnesses(p, k)
+        cases += [(p, low, search._settled(p, -1)), (p, high, 0)]
     calls = _record_b_search(monkeypatch)
     searched = 0
-    for p, witness in cases:
+    for p, witness, settled in cases:
         calls.clear()
-        search._realize(p, witness)
+        search._realize(p, witness, settled)
         assert len(calls) <= len(p.adj), (len(p.adj), [len(head) for *_, head in calls])
         for _, caps, head in calls:
             fixed = head[:-1]
@@ -865,6 +869,54 @@ def test_realize_passes_a_proper_head_within_caps(monkeypatch):
             assert all(fixed.count(c) <= cap for c, cap in enumerate(caps, start=1)), (head, caps)
         searched += len(calls)
     assert searched
+
+
+def _realize_every_vertex(p, witness):
+    """Realize without a settled bound: one search for every vertex of
+    colour above 1."""
+    k, caps, colours = witness.k, witness.strengths(), witness.colours
+    for v in range(len(p.adj)):
+        if colours[v] > 1:
+            found = search._b_search(p, k, caps, colours[:v + 1])
+            if found is not None:
+                colours = found
+    return b.Colouring(k, colours)
+
+
+def test_realize_skips_only_searches_that_would_fail(monkeypatch):
+    # a first solution of _b_search is the lexicographically smallest
+    # completion along the order it coloured in, so the vertices where that
+    # order runs in index order already hold their least colours: against
+    # a realize that searches every vertex, both witnesses realize to the
+    # same colouring, in no more nodes
+    families = {"path", "cycle", "wheel", "sunlet", "closed-ladder"}
+    graphs = (_small_graphs() + [(f"gnp#{i}", g) for i, g in enumerate(_gnp_draws())]
+              + [(label, g) for label, g in _small_graphs(max_vertices=16, draws=0)
+                 if label.split("(")[0] in families])
+    fewer = 0
+    for label, g in graphs:
+        p = search._prepare(g, None, False)
+        low, high = search._extremal_witnesses(p, search._phi(g, p))
+        for witness, settled in ((low, search._settled(p, -1)), (high, 0)):
+            before = p.nodes
+            expected = _realize_every_vertex(p, witness)
+            every = p.nodes - before
+            before = p.nodes
+            assert search._realize(p, witness, settled)[0] == expected, label
+            assert p.nodes - before <= every, label
+            fewer += p.nodes - before < every
+    assert len(graphs) > 120 and fewer > 50, (len(graphs), fewer)
+    # in degree order a regular graph's vertices, and a sunlet's rim and then
+    # its pendants, run in index order: the scan's min witness is the
+    # realizer, and realize runs no search
+    calls = _record_b_search(monkeypatch)
+    for g in (b.cycle(12), b.closed_ladder(8), b.sunlet(8)):
+        p = search._prepare(g, None, False)
+        low, _ = search._extremal_witnesses(p, search._phi(g, p))
+        assert search._settled(p, -1) == g.n
+        calls.clear()
+        assert search._realize(p, low, g.n)[0] == low and calls == [], g.n
+        assert b.full_report(g).min_colouring == low, g.n
 
 
 def test_cubic_graphs_past_the_oracle():
