@@ -91,12 +91,7 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
     the search colours in (j, then the vertices above j in p.order), under
     any p.order; `search._settled` reads realize's skips off this.  A
     colour is open to a vertex unless a coloured neighbour holds it, its
-    class is full, or that rule keeps it shut.  When no colour below
-    head[-1] is open to j, the search returns None with no node explored,
-    right after the head is replayed and before the rest of its state is
-    set up; realize makes such calls.  That test reads only the first two
-    reasons, since the rule never shuts the last open colour: the lowest
-    of a run of empty labels with equal caps is open.
+    class is full, or that rule keeps it shut.
 
     The state is colour-major: per class c, the vertex mask members[c] and
     blocked[c], the vertices adjacent to class c.  A vertex may still join c
@@ -205,9 +200,6 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
             slack[w] -= 1
             if slack[w] < 0:
                 live ^= u
-    j = len(head) - 1  # the bounded vertex, when head is not empty
-    if head and all(blocked[c] >> j & 1 or size[c] == cap[c] for c in range(head[-1] - 1)):
-        return None  # no colour is open to j (see the docstring): no node to explore
 
     # feasible's scratch, rewritten at every node before it is read
     avail = [0] * k
@@ -291,6 +283,7 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
             below &= reach[c]
         return pool.bit_count() >= need
 
+    j = len(head) - 1  # the bounded vertex, when head is not empty
     rest = ([j] if head else []) + [v for v in p.order if v > j]
     m = len(rest)
     # uncoloured[i]: the vertices left uncoloured once rest[:i] is coloured

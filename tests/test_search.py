@@ -643,33 +643,32 @@ def test_prefix_search_is_exact_against_the_oracle():
     assert checks >= 10800
 
 
-def test_a_bounded_vertex_with_no_open_colour_returns_before_the_search_is_set_up():
+def test_a_bounded_vertex_with_no_open_colour_explores_no_node():
     # when no colour below head[-1] is open to the bounded vertex j, the
-    # search returns None with no node, before it reads p.order: a copy
-    # whose order is None gives the answer without raising.  So does a
-    # capped search whose s caps equal to 1 have no admissible clique
-    def empty(p, k, caps, head):
-        q = replace(p, order=None, nodes=0)
-        assert search._b_search(q, k, caps, head) is None and q.nodes == 0, (k, caps, head)
+    # colour loop finds none at depth 0 and the search returns None with
+    # no node explored.  A capped search whose s caps equal to 1 have no
+    # admissible clique returns even before it replays the head: a copy
+    # whose order is None gives the answer without raising
+    def no_node(p, k, caps, head):
         before = p.nodes
         assert search._b_search(p, k, caps, head) is None and p.nodes == before, (k, caps, head)
 
     path4 = search._prepare(b.path(4), None, False)  # edges 0-1, 1-2, 2-3
-    empty(path4, 2, (2, 2), (1, 2))     # colour 1 is held by j's neighbour 0
-    empty(path4, 2, (1, 3), (1, 2, 2))  # class 1 is full, and 2 is not next to 0
+    no_node(path4, 2, (2, 2), (1, 2))     # colour 1 is held by j's neighbour 0
+    no_node(path4, 2, (1, 3), (1, 2, 2))  # class 1 is full, and 2 is not next to 0
     # the equal-caps rule shuts a colour only above an empty label with
     # the same cap, and the lowest empty label of such a run is open: so
     # it never shuts every colour below the bound by itself.  Here colour
     # 1 is held by a neighbour, colour 3 is shut by the rule and colour 2
-    # is open, so the search runs
+    # is open, so the search explores a node
     path6 = search._prepare(b.path(6), None, False)
-    with pytest.raises(TypeError):
-        search._b_search(replace(path6, order=None), 3, (2, 2, 2), (1, 4))
+    search._b_search(path6, 3, (2, 2, 2), (1, 4))
+    assert path6.nodes > 0
     # every head of up to three colours, proper and within caps, on the
-    # small graphs: the search returns early exactly when each colour
+    # small graphs: the search explores no node exactly when each colour
     # below the bound is shut by one of the three reasons, or the caps
     # have no admissible clique (the fourth reason), each applied here
-    # apart from the kernel, and otherwise it explores a node
+    # apart from the kernel
     shut_by = {"neighbour": 0, "full": 0, "equal caps": 0, "no admissible clique": 0}
     early = 0
     for label, g in _small_graphs(max_vertices=6, draws=10):
@@ -701,12 +700,13 @@ def test_a_bounded_vertex_with_no_open_colour_returns_before_the_search_is_set_u
                         shut_by[reason] += 1
                     shut_by["no admissible clique"] += no_clique
                     where = f"{label}, k={k}, caps={caps}, head={head}"
+                    if no_clique:
+                        q = replace(p, order=None, nodes=0)
+                        assert search._b_search(q, k, caps, head) is None and q.nodes == 0, where
                     if no_clique or len(reasons) == head[-1] - 1:
-                        empty(p, k, caps, head)
+                        no_node(p, k, caps, head)
                         early += 1
                     else:
-                        with pytest.raises(TypeError):
-                            search._b_search(replace(p, order=None), k, caps, head)
                         before = p.nodes
                         search._b_search(p, k, caps, head)
                         assert p.nodes > before, where
