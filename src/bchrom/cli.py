@@ -43,17 +43,13 @@ def _rat(x) -> dict:
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
-def _dump_json(obj, out) -> None:
-    json.dump(obj, out, indent=2, default=_rat)
-    out.write("\n")
-
-
 def _emit(record: dict, fmt: str, rows: list[dict] | None = None) -> None:
     """Write record to stdout as JSON, or as CSV: rows, else the record as one row."""
     if fmt == "csv":
         gio.write_csv([record] if rows is None else rows, sys.stdout)
     else:
-        _dump_json(record, sys.stdout)
+        json.dump(record, sys.stdout, indent=2, default=_rat)
+        sys.stdout.write("\n")
 
 
 def _parse_range(text: str) -> range:
@@ -164,6 +160,9 @@ def _report_record(g, descriptor: str, args) -> dict:
 
 def cmd_stats(args) -> int:
     g, descriptor, c = _load_graph(args, args.colouring)
+    # in colouring mode the colouring's length, not the cap, bounds the
+    # graph, yet a cap below 1 is malformed there too
+    graphs._check_caps(0, args.max_n, search.DEFAULT_SEARCH_CAP)
     record = (_report_record(g, descriptor, args) if c is None
               else _colouring_record(g, c, descriptor))
     _emit(record, args.format)
@@ -175,7 +174,7 @@ def cmd_phi(args) -> int:
     phi = search.b_chromatic_number(g, max_n=args.max_n,
                                     allow_disconnected=args.allow_disconnected)
     if args.format == "json":
-        _dump_json(_record("phi", graph=descriptor, phi=phi), sys.stdout)
+        _emit(_record("phi", graph=descriptor, phi=phi), "json")
     else:
         print(phi)
     return EXIT_OK

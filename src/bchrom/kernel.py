@@ -1,7 +1,7 @@
 """The b-colouring search kernel: one prepared graph, and the depth-first
 search for a b-colouring with exactly k colours that chi, phi, the
 candidate scan and realize all run on it (`_b_search` gives its state and
-its cuts).
+its cuts), and the vertices its first solution settles (`_settled`).
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
     another, smaller at the first vertex coloured either.  So the first
     solution is the lexicographically smallest completion along the order
     the search colours in (j, then the vertices above j in p.order), under
-    any p.order; `search._settled` reads realize's skips off this.  A
+    any p.order; `_settled` reads realize's skips off this.  A
     colour is open to a vertex unless a coloured neighbour holds it, its
     class is full, or that rule keeps it shut.
 
@@ -284,7 +284,7 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
         return pool.bit_count() >= need
 
     j = len(head) - 1  # the bounded vertex, when head is not empty
-    rest = ([j] if head else []) + [v for v in p.order if v > j]
+    rest = ([j] if head else []) + [v for v in p.order if v > j]  # see _settled
     m = len(rest)
     # uncoloured[i]: the vertices left uncoloured once rest[:i] is coloured
     uncoloured = [0] * (m + 1)
@@ -345,6 +345,22 @@ def _b_search(p: _Prepared, k: int, caps: tuple[int, ...] | None,
         return colouring
     finally:
         p.nodes += nodes
+
+
+def _settled(p: _Prepared, j: int) -> int:
+    """The first vertex after j that a first solution of `_b_search` with a
+    head ending at j (j = -1 for no head) may not hold at its least colour.
+    The vertices from j + 1 up to it come first, in index order, in the
+    order that search colours in after j; as the first solution is the
+    smallest completion along that order (see `_b_search`), each of them
+    holds its least colour."""
+    b = j + 1
+    for u in p.order:
+        if u > j:
+            if u != b:
+                break
+            b += 1
+    return b
 
 
 def _admissible(adj: list[int], live: int, k: int, s: int) -> int:

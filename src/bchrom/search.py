@@ -21,8 +21,9 @@ from itertools import groupby
 from operator import itemgetter
 
 from .graphs import Graph, _check_caps, m_degree
-from .kernel import _b_search, _build, _Prepared
-# perfbench/workloads.py's instrumented() reads and patches this name on every run
+from .kernel import _b_search, _build, _Prepared, _settled
+# perfbench/workloads.py's instrumented() reads this name on every run, and
+# patches it when the run is traced
 from .oracle import enumerate_b_colourings  # noqa: F401
 from .stats import (ChromaStats, Colouring, NoBColouringError, _check_k, _moments,
                     stats_from_strengths)
@@ -121,10 +122,11 @@ def _partitions_desc(total: int, parts: int, largest: int) -> list[tuple[int, ..
     return out
 
 
-def _extremal_witnesses(p: _Prepared, k: int) -> tuple[Colouring, Colouring]:
-    """(min_witness, max_witness): b-colourings with exactly k colours
-    whose class sizes by label are those of the minimum- and the
-    maximum-mean b-colourings.
+def _extremal_witnesses(p: _Prepared, k: int) -> tuple[tuple[Colouring, int], ...]:
+    """((min_witness, settled), (max_witness, settled)): b-colourings with
+    exactly k colours whose class sizes by label are those of the minimum-
+    and the maximum-mean b-colourings, each with the vertex below which
+    `_realize` need not search it.
 
     Candidate size vectors, with descending labels, are ranked by their
     integer moments (`stats._moments`), then by the vector itself: all
@@ -137,7 +139,9 @@ def _extremal_witnesses(p: _Prepared, k: int) -> tuple[Colouring, Colouring]:
     serves both ends, which differ only in the strength-vector tie-break
     among the hits: the min end's witness is the first hit, as the group is
     sorted by sizes, and the max end's is the hit of least reversed sizes,
-    with its labels reversed.
+    with its labels reversed.  The min witness is a first solution of
+    `_b_search`, so it comes with `kernel._settled(p, -1)`; reversed labels
+    settle nothing, so the max witness comes with 0.
     """
     _check_k(k)
     candidates = _partitions_desc(len(p.adj), k, _independence_number(p.adj))
@@ -149,26 +153,9 @@ def _extremal_witnesses(p: _Prepared, k: int) -> tuple[Colouring, Colouring]:
                 hits.append((theta, assignment))
         if hits:
             high = min(hits, key=lambda hit: hit[0][::-1])[1]
-            return Colouring(k, hits[0][1]), Colouring(k, high).reversed_labels()
+            return ((Colouring(k, hits[0][1]), _settled(p, -1)),
+                    (Colouring(k, high).reversed_labels(), 0))
     raise NoBColouringError(f"no b-colouring of this graph uses exactly {k} colours")
-
-
-def _settled(p: _Prepared, j: int) -> int:
-    """The first vertex after j that a first solution of `_b_search` with a
-    head ending at j (j = -1 for no head) may not have at its least colour.
-
-    That search colours j, then the vertices above j in p.order; its first
-    solution is the lexicographically smallest completion along that order
-    (see `_b_search`).  So while the order runs j + 1, j + 2, ... in index
-    order, no completion that agrees with it on 0..u-1 gives u a smaller
-    colour, and a search for one could only fail."""
-    b = j + 1
-    for u in p.order:
-        if u > j:
-            if u != b:
-                break
-            b += 1
-    return b
 
 
 def _realize(p: _Prepared, witness: Colouring, settled: int) -> tuple[Colouring, ChromaStats]:
@@ -180,11 +167,9 @@ def _realize(p: _Prepared, witness: Colouring, settled: int) -> tuple[Colouring,
     colours up to v as head (`_b_search` says what a head fixes) gives v the
     smallest colour below the witness's that any completion allows, and
     its completion becomes the witness, with the vertices below
-    `_settled(p, v)` settled.  If it finds none, v keeps the witness's
-    colour, which the witness itself completes.  A vertex of colour 1, or
-    below settled, needs no search: the scan's min witness, a first
-    solution in p.order, comes with `_settled(p, -1)`, and a witness with
-    its labels reversed with 0.
+    `kernel._settled(p, v)` settled.  If it finds none, v keeps the
+    witness's colour, which the witness itself completes.  A vertex of
+    colour 1, or below settled, needs no search.
     """
     k, caps, colours = witness.k, witness.strengths(), witness.colours
     for v in range(len(p.adj)):
@@ -216,14 +201,14 @@ def min_mean_b_colouring(g: Graph, k: int, max_n: int | None = None,
     strength vector, then lexicographically smallest assignment.
     """
     p = _prepare(g, max_n, allow_disconnected)
-    return _realize(p, _extremal_witnesses(p, k)[0], _settled(p, -1))
+    return _realize(p, *_extremal_witnesses(p, k)[0])
 
 
 def max_mean_b_colouring(g: Graph, k: int, max_n: int | None = None,
                          allow_disconnected: bool = False) -> tuple[Colouring, ChromaStats]:
     """Mean-maximising mirror of min_mean_b_colouring (same tie-break order)."""
     p = _prepare(g, max_n, allow_disconnected)
-    return _realize(p, _extremal_witnesses(p, k)[1], 0)
+    return _realize(p, *_extremal_witnesses(p, k)[1])
 
 
 def full_report(g: Graph, max_n: int | None = None,
@@ -235,9 +220,9 @@ def full_report(g: Graph, max_n: int | None = None,
     t0 = time.perf_counter()
     chi = _chi(p)
     phi = _phi(g, p)
-    min_witness, max_witness = _extremal_witnesses(p, phi)
-    min_col, min_stats = _realize(p, min_witness, _settled(p, -1))
-    max_col, max_stats = _realize(p, max_witness, 0)
+    low, high = _extremal_witnesses(p, phi)
+    min_col, min_stats = _realize(p, *low)
+    max_col, max_stats = _realize(p, *high)
     return SearchReport(chi=chi, phi=phi,
                         min_colouring=min_col, min_stats=min_stats,
                         max_colouring=max_col, max_stats=max_stats,

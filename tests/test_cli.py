@@ -235,12 +235,23 @@ def test_exit_code_search_cap():
     assert code == 0
 
 
-def test_cap_below_one_is_usage_error():
+def test_cap_below_one_is_usage_error(tmp_path):
     for argv in (("phi", "--family", "path", "--n", "3", "--max-n", "0"),
                  ("verify", "--family", "path", "--range", "2..4", "--max-n", "0")):
         code, out, err = run_cli(*argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+    # the colouring's length, not the cap, bounds the graph in colouring
+    # mode, yet a cap below 1 is malformed there too, in both graph sources
+    colouring = tmp_path / "c.txt"
+    colouring.write_text("2\n1 1\n2 2\n3 1\n")
+    graph = tmp_path / "p3.txt"
+    b.write_graph(b.path(3), str(graph), "edgelist")
+    for source in (("--family", "path", "--n", "3"), ("--graph", str(graph))):
+        argv = ("stats", *source, "--colouring", str(colouring))
+        assert run_cli(*argv)[0] == 0
+        code, out, err = run_cli(*argv, "--max-n", "0")
+        assert (code, out, err) == (2, "", "error: vertex cap must be >= 1, got 0\n")
 
 
 def test_family_cap_checked_before_building(monkeypatch, tmp_path):

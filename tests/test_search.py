@@ -203,6 +203,43 @@ def test_oracle_shares_no_code_with_the_pruned_search():
         assert not _referenced_names(fn.__code__) & forbidden, name
 
 
+def test_search_reads_nothing_of_the_kernel_order():
+    # the order a search colours in, and so what its first solution
+    # settles, is read in kernel.py only: no function of search.py names
+    # order, and the callers of realize pass on the bound each witness
+    # comes with from the scan
+    functions = {name: fn for name, fn in vars(search).items()
+                 if isinstance(fn, types.FunctionType) and fn.__module__ == search.__name__}
+    assert "_realize" in functions and search._settled is kernel._settled
+    for name, fn in functions.items():
+        assert "order" not in _referenced_names(fn.__code__), name
+    tree = ast.parse(Path(search.__file__).read_text(encoding="utf-8"))
+    callers = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name in {"full_report", "min_mean_b_colouring", "max_mean_b_colouring"}}
+    assert len(callers) == 3
+    for name, node in callers.items():
+        assert "_settled" not in _referenced_names(functions[name].__code__), name
+        realizes = [call for call in ast.walk(node) if isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name) and call.func.id == "_realize"]
+        assert realizes and all(
+            [type(arg) for arg in call.args] == [ast.Name, ast.Starred] for call in realizes), name
+
+
+def test_settled_is_the_first_vertex_a_later_one_precedes():
+    # kernel._settled(p, j) is the first vertex u > j that some w > u
+    # precedes in p.order, or n when there is none: a fact about the order
+    # alone, with no reference to j, that any other order must keep
+    graphs = _small_graphs() + _small_graphs(max_vertices=16, draws=0)
+    for label, g in graphs:
+        p = kernel._build(g)
+        position = {v: i for i, v in enumerate(p.order)}
+        for j in range(-1, g.n):
+            first = next((u for u in range(j + 1, g.n) if any(
+                position[w] < position[u] for w in range(u + 1, g.n))), g.n)
+            assert kernel._settled(p, j) == first, (label, j)
+    assert len(graphs) > 100
+
+
 def test_min_mean_examples():
     _, st = b.min_mean_b_colouring(b.path(6), 3)
     assert st.mean == F(5, 3) and st.variance == F(5, 9)
@@ -724,7 +761,7 @@ def test_realizers_past_the_oracle_match_the_identity_order_search():
         g = b.random_connected_graph(rng.randint(13, 15), rng, rng.uniform(0.2, 0.5))
         r = b.full_report(g)
         p = search._prepare(g, None, False)
-        low, high = search._extremal_witnesses(p, r.phi)
+        (low, _), (high, _) = search._extremal_witnesses(p, r.phi)
         for witness, realizer in ((low, r.min_colouring), (high, r.max_colouring)):
             sizes = realizer.strengths()
             found = search._b_search(replace(p, order=list(range(g.n))), r.phi, sizes)
@@ -854,8 +891,7 @@ def test_realize_passes_a_proper_head_within_caps(monkeypatch):
     for g in (b.wheel(30), b.sunlet(8), b.closed_ladder(8), gnp):
         p = search._prepare(g, None, False)
         k = b.b_chromatic_number(g)
-        low, high = search._extremal_witnesses(p, k)
-        cases += [(p, low, search._settled(p, -1)), (p, high, 0)]
+        cases += [(p, *witness) for witness in search._extremal_witnesses(p, k)]
     calls = _record_b_search(monkeypatch)
     searched = 0
     for p, witness, settled in cases:
@@ -896,8 +932,7 @@ def test_realize_skips_only_searches_that_would_fail(monkeypatch):
     fewer = 0
     for label, g in graphs:
         p = search._prepare(g, None, False)
-        low, high = search._extremal_witnesses(p, search._phi(g, p))
-        for witness, settled in ((low, search._settled(p, -1)), (high, 0)):
+        for witness, settled in search._extremal_witnesses(p, search._phi(g, p)):
             before = p.nodes
             expected = _realize_every_vertex(p, witness)
             every = p.nodes - before
@@ -912,10 +947,10 @@ def test_realize_skips_only_searches_that_would_fail(monkeypatch):
     calls = _record_b_search(monkeypatch)
     for g in (b.cycle(12), b.closed_ladder(8), b.sunlet(8)):
         p = search._prepare(g, None, False)
-        low, _ = search._extremal_witnesses(p, search._phi(g, p))
-        assert search._settled(p, -1) == g.n
+        (low, settled), _ = search._extremal_witnesses(p, search._phi(g, p))
+        assert settled == g.n
         calls.clear()
-        assert search._realize(p, low, g.n)[0] == low and calls == [], g.n
+        assert search._realize(p, low, settled)[0] == low and calls == [], g.n
         assert b.full_report(g).min_colouring == low, g.n
 
 
